@@ -1,7 +1,7 @@
 """Rule ``pool-safety`` — nothing unpicklable crosses a process boundary.
 
 ``repro.train.sweep`` fans fold work over a ``ProcessPoolExecutor`` and
-``repro.features.pool`` spawns supervised worker processes; both pickle
+``repro.workers.pool`` spawns supervised worker processes; both pickle
 what they are handed.  Lambdas and locally-defined (nested) functions
 are unpicklable, and the failure is deferred — the pool raises deep
 inside ``concurrent.futures`` at submit time, or worse, only under the
@@ -192,7 +192,7 @@ class PoolSafetyRule(Rule):
     rule_id = "pool-safety"
     description = (
         "lambdas and locally-defined functions must not cross the "
-        "ProcessPoolExecutor / repro.features.pool process boundaries"
+        "ProcessPoolExecutor / repro.workers.pool process boundaries"
     )
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:

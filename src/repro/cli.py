@@ -230,6 +230,11 @@ def _serving_engine(args: argparse.Namespace):
     )
 
 
+def _read_listing(path: str) -> str:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        return handle.read()
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     """Classify listings through the serving engine, one batched forward.
 
@@ -241,11 +246,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     """
     engine = _serving_engine(args)
     samples = []
-    for path in args.listings:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            samples.append((path, handle.read()))
-    results = engine.classify_texts(samples)
     status = 0
+    for path in args.listings:
+        try:
+            samples.append((path, _read_listing(path)))
+        except OSError as exc:
+            print(f"FAILED {path}: {exc.strerror or exc}", file=sys.stderr)
+            status = 1
+    results = engine.classify_texts(samples)
     for result in results:
         if result.failure is not None:
             print(f"FAILED {result.name} [{result.failure.kind.value}]: "
@@ -693,8 +701,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
             if path.endswith(".json"):
                 acfg = ACFG.from_cfg(load_cfg(path))
             else:
-                with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                    acfg = magic.acfg_from_asm(fh.read(), name=path)
+                acfg = magic.acfg_from_asm(_read_listing(path), name=path)
+        except OSError as exc:
+            print(f"FAILED {path}: {exc.strerror or exc}", file=sys.stderr)
+            status = 1
+            continue
         except MagicError as exc:
             print(f"FAILED {path}: {exc}", file=sys.stderr)
             status = 1

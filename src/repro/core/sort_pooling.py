@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, apply_op
 
 
 def sort_vertex_order(features: np.ndarray) -> np.ndarray:
@@ -57,31 +57,14 @@ def resolve_sort_pooling_k(graph_sizes: Sequence[int], ratio: float, minimum: in
 def sort_pool(z_concat: Tensor, k: int) -> Tensor:
     """``(n, C) -> (k, C)``: sort rows, truncate or zero-pad to ``k``.
 
-    A single composite autograd node (rather than gather + pad chained)
-    so the tape replays it as one kernel that recomputes the
-    data-dependent permutation per batch.  The permutation is computed
-    from forward values and treated as a constant in backprop;
-    gradients flow through the row selection.
+    A single op-table entry (rather than gather + pad chained), so the
+    tape replays it as one kernel that recomputes the data-dependent
+    permutation per batch.  The permutation is computed from forward
+    values and treated as a constant in backprop; gradients flow
+    through the row selection.
     """
     z_concat = Tensor._coerce(z_concat)
-    order = sort_vertex_order(z_concat.data)
-    n, channels = z_concat.shape
-    m = min(n, k)
-    out_data = np.zeros((k, channels), dtype=np.float64)
-    out_data[:m] = z_concat.data[order[:m]]
-
-    def grad_fn(grad: np.ndarray):
-        grad_in = np.zeros_like(z_concat.data)
-        np.add.at(grad_in, order[:m], grad[:m])
-        return (grad_in,)
-
-    return Tensor._make(
-        out_data,
-        (z_concat,),
-        grad_fn,
-        op="sort_pool",
-        meta={"k": k, "order_fn": sort_vertex_order},
-    )
+    return apply_op("sort_pool", (z_concat,), {"k": k, "order_fn": sort_vertex_order})
 
 
 class SortPooling(Module):

@@ -11,7 +11,7 @@ production corpus actually produces:
 * a process-pool mode gives per-sample wall-clock timeouts and a
   graph-size guard — a hung or pathological sample is killed and the
   batch continues (threads cannot be cancelled, so the killable path
-  runs on :class:`~repro.features.pool.ProcessWorkerPool`);
+  runs on :class:`~repro.workers.pool.ProcessWorkerPool`);
 * a JSONL journal (one line per finished sample, torn-line tolerant)
   makes multi-hour runs SIGKILL-and-resumable;
 * failed inputs can be preserved in a quarantine directory for triage;
@@ -49,7 +49,7 @@ from repro.exceptions import (
 )
 from repro.features.acfg import ACFG
 from repro.features.journal import open_journal, samples_fingerprint
-from repro.features.pool import ProcessWorkerPool
+from repro.workers.pool import ProcessWorkerPool
 from repro.testing.faults import FaultPlan
 
 

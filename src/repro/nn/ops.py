@@ -1,0 +1,764 @@
+"""The op table: one forward and one backward kernel per op kind.
+
+Both execution engines run these kernels and nothing else.  The eager
+:class:`~repro.nn.tensor.Tensor` calls them with fresh arrays while it
+records the autograd graph; the compiled tape (:mod:`repro.nn.tape`)
+calls the very same functions with preallocated arena buffers.  Because
+each op's arithmetic is written once, float64 replay is bit-exact with
+eager execution by construction.
+
+Kernel signatures
+-----------------
+``forward(ins, out, meta, state) -> array``
+    ``ins`` are the input arrays in parent order.  ``out`` is ``None``
+    (allocate the result) or the array to write it into; view kinds
+    (``reshape``, ``getitem``, ``transpose``) ignore it and return a
+    view of their input.
+``backward(g, ins, out, meta, state, need) -> grads``
+    ``g`` is the gradient of the output ``out``.  Returns one entry per
+    input: its gradient, or ``None`` where ``need`` is false (a kernel
+    may also fill those in; callers ignore them).
+
+``meta`` holds an op's static parameters and operands (axis, stride,
+the constant sparse propagation matrix, the dropout generator).
+``state`` is the per-node mutable part: the data-dependent values the
+backward kernel reuses (argmaxes, the sort order, the dropout mask,
+im2col columns) and scratch arrays.  Eager execution gives every op a
+fresh plain ``dict``, so scratch is allocated per call and dropped with
+it; the tape gives every record one :class:`Workspace`, which keeps its
+scratch across replays, so outputs, gradients and scratch are allocated
+once per tape rather than once per replay.  An inference-only tape's
+workspaces are not ``differentiable``, and forward kernels skip the
+argmaxes no backward will read.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+try:  # scipy's C kernel for CSR @ dense-matrix, accumulating into out.
+    # Private module, so guard the import *and* the symbol: if either is
+    # missing we fall back to the (allocating) ``matrix @ src`` operator,
+    # which runs the same arithmetic.
+    from scipy.sparse import _sparsetools as _sparse_kernels
+
+    _HAVE_CSR_MATVECS = hasattr(_sparse_kernels, "csr_matvecs")
+except ImportError:  # pragma: no cover - scipy is a hard dependency
+    _sparse_kernels = None
+    _HAVE_CSR_MATVECS = False
+
+Arrays = Sequence[np.ndarray]
+Grads = Sequence[Optional[np.ndarray]]
+Forward = Callable[[Arrays, Optional[np.ndarray], Dict[str, Any], Dict[str, Any]], np.ndarray]
+Backward = Callable[
+    [np.ndarray, Arrays, np.ndarray, Dict[str, Any], Dict[str, Any], Sequence[bool]],
+    Grads,
+]
+
+
+class Op:
+    """One table entry: the forward and backward kernel of a kind."""
+
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, forward: Forward, backward: Backward) -> None:
+        self.forward = forward
+        self.backward = backward
+
+
+class Workspace(dict):
+    """A tape record's state: scratch arrays persist across replays.
+
+    An inference-only (float32) tape marks its workspaces not
+    ``differentiable``: no backward kernel will read them, so forward
+    kernels skip the values only a backward reads (argmaxes).
+    """
+
+    def __init__(self, differentiable: bool = True) -> None:
+        super().__init__()
+        self.differentiable = differentiable
+
+
+def _differentiable(state: Dict[str, Any]) -> bool:
+    """Whether a backward kernel may read ``state`` (always, for eager)."""
+    return getattr(state, "differentiable", True)
+
+
+def _scratch(state: Dict[str, Any], key: str, shape: Tuple[int, ...],
+             dtype: Any = np.float64) -> np.ndarray:
+    """A work array with undefined contents, kept only by a workspace."""
+    arr = state.get(key)
+    if arr is None:
+        arr = np.empty(shape, dtype)
+        if isinstance(state, Workspace):
+            state[key] = arr
+    return arr
+
+
+def _zeroed(state: Dict[str, Any], key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """A zero-filled work array, kept only by a workspace."""
+    arr = state.get(key)
+    if arr is None:
+        arr = np.zeros(shape)
+        if isinstance(state, Workspace):
+            state[key] = arr
+    else:
+        arr.fill(0.0)
+    return arr
+
+
+def _saved(state: Dict[str, Any], key: str, shape: Tuple[int, ...],
+           dtype: Any = np.float64) -> np.ndarray:
+    """An array the backward kernel reads back, so always kept."""
+    arr = state.get(key)
+    if arr is None:
+        arr = state[key] = np.empty(shape, dtype)
+    return arr
+
+
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` so its shape matches ``shape`` after broadcasting."""
+    if grad.shape == shape:
+        return grad
+    # Sum away prepended broadcast dimensions.
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    # Sum along dimensions that were broadcast from size one.
+    axes = tuple(
+        axis for axis, size in enumerate(shape) if size == 1 and grad.shape[axis] != 1
+    )
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _reduced_shape(shape: Tuple[int, ...], axis: int) -> Tuple[int, ...]:
+    reduced = list(shape)
+    reduced[axis] = 1
+    return tuple(reduced)
+
+
+# ----------------------------------------------------------------------
+# elementwise arithmetic
+
+
+def _add_fwd(ins, out, meta, state):
+    return np.add(ins[0], ins[1], out=out)
+
+
+def _add_bwd(g, ins, out, meta, state, need):
+    return [_unbroadcast(g, x.shape) if n else None for x, n in zip(ins, need)]
+
+
+def _sub_fwd(ins, out, meta, state):
+    return np.subtract(ins[0], ins[1], out=out)
+
+
+def _sub_bwd(g, ins, out, meta, state, need):
+    return (_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape))
+
+
+def _mul_fwd(ins, out, meta, state):
+    return np.multiply(ins[0], ins[1], out=out)
+
+
+def _mul_bwd(g, ins, out, meta, state, need):
+    a, b = ins
+    return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
+
+
+def _div_fwd(ins, out, meta, state):
+    return np.divide(ins[0], ins[1], out=out)
+
+
+def _div_bwd(g, ins, out, meta, state, need):
+    a, b = ins
+    return (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
+
+
+def _neg_fwd(ins, out, meta, state):
+    return np.negative(ins[0], out=out)
+
+
+def _neg_bwd(g, ins, out, meta, state, need):
+    return (np.negative(g, out=_scratch(state, "neg_g", g.shape)),)
+
+
+def _pow_fwd(ins, out, meta, state):
+    return np.power(ins[0], meta["exponent"], out=out)
+
+
+def _pow_bwd(g, ins, out, meta, state, need):
+    exponent = meta["exponent"]
+    return (g * exponent * np.power(ins[0], exponent - 1),)
+
+
+# ----------------------------------------------------------------------
+# matrix and shape ops
+
+
+def _matmul_fwd(ins, out, meta, state):
+    return np.matmul(ins[0], ins[1], out=out)
+
+
+def _matmul_bwd(g, ins, out, meta, state, need):
+    a, b = ins
+    if a.ndim == 2 and b.ndim == 2:
+        return (
+            np.matmul(g, b.T, out=_scratch(state, "mm_ga", a.shape)) if need[0] else None,
+            np.matmul(a.T, g, out=_scratch(state, "mm_gb", b.shape)) if need[1] else None,
+        )
+    # Promote 1-D operands to 2-D, apply the 2-D rule, then squeeze the
+    # promoted axis back out of the result.
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    g2 = g[None, ...] if a.ndim == 1 else g
+    if b.ndim == 1:
+        g2 = g2[..., None]
+    grad_a = (g2 @ b2.swapaxes(-1, -2)).reshape(a.shape)
+    grad_b = (a2.swapaxes(-1, -2) @ g2).reshape(b.shape)
+    return (grad_a, grad_b)
+
+
+def _transpose_fwd(ins, out, meta, state):
+    return ins[0].transpose(meta["order"])
+
+
+def _transpose_bwd(g, ins, out, meta, state, need):
+    return (g.transpose(np.argsort(meta["order"])),)
+
+
+def _reshape_fwd(ins, out, meta, state):
+    return ins[0].reshape(meta["shape"])
+
+
+def _reshape_bwd(g, ins, out, meta, state, need):
+    return (g.reshape(ins[0].shape),)
+
+
+def _getitem_fwd(ins, out, meta, state):
+    return ins[0][meta["key"]]
+
+
+def _getitem_bwd(g, ins, out, meta, state, need):
+    full = _zeroed(state, "getitem_g", ins[0].shape)
+    np.add.at(full, meta["key"], g)  # an index may select an element twice
+    return (full,)
+
+
+def _concat_fwd(ins, out, meta, state):
+    return np.concatenate(ins, axis=meta["axis"], out=out)
+
+
+def _concat_bwd(g, ins, out, meta, state, need):
+    axis = meta["axis"]
+    index: List[Any] = [slice(None)] * g.ndim
+    pieces = []
+    start = 0
+    for x in ins:
+        stop = start + x.shape[axis]
+        index[axis] = slice(start, stop)
+        pieces.append(g[tuple(index)])
+        start = stop
+    return pieces
+
+
+def _stack_fwd(ins, out, meta, state):
+    return np.stack(ins, axis=meta["axis"], out=out)
+
+
+def _stack_bwd(g, ins, out, meta, state, need):
+    rows = np.moveaxis(g, meta["axis"], 0)
+    return [rows[i] for i in range(len(ins))]
+
+
+def _gather_fwd(ins, out, meta, state):
+    return np.take(ins[0], meta["indices"], axis=0, out=out)
+
+
+def _gather_bwd(g, ins, out, meta, state, need):
+    full = _zeroed(state, "gather_g", ins[0].shape)
+    np.add.at(full, meta["indices"], g)
+    return (full,)
+
+
+def _pad_rows_fwd(ins, out, meta, state):
+    x = ins[0]
+    if out is None:
+        out = np.empty((meta["total_rows"], x.shape[1]), x.dtype)
+    out[x.shape[0]:] = 0.0
+    out[: x.shape[0]] = x
+    return out
+
+
+def _pad_rows_bwd(g, ins, out, meta, state, need):
+    return (g[: ins[0].shape[0]],)
+
+
+# ----------------------------------------------------------------------
+# reductions
+
+
+def _sum_fwd(ins, out, meta, state):
+    return np.add.reduce(ins[0], axis=meta["axis"], keepdims=meta["keepdims"], out=out)
+
+
+def _sum_bwd(g, ins, out, meta, state, need):
+    shape = ins[0].shape
+    axis = meta["axis"]
+    if axis is not None and not meta["keepdims"]:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        for a in sorted(ax % len(shape) for ax in axes):
+            g = np.expand_dims(g, a)
+    return (np.broadcast_to(g, shape),)
+
+
+def _max_fwd(ins, out, meta, state):
+    x = ins[0]
+    axis = meta["axis"]
+    if _differentiable(state):
+        state["argmax"] = x.argmax(axis=axis)
+    return np.amax(x, axis=axis, keepdims=meta["keepdims"], out=out)
+
+
+def _max_bwd(g, ins, out, meta, state, need):
+    axis = meta["axis"]
+    full = _zeroed(state, "max_g", ins[0].shape)
+    values = g if meta["keepdims"] else np.expand_dims(g, axis)
+    np.put_along_axis(full, np.expand_dims(state["argmax"], axis), values, axis)
+    return (full,)
+
+
+# ----------------------------------------------------------------------
+# elementwise nonlinearities (backward rules read the output only, so
+# they also serve the fused kernels, which overwrite the pre-activation)
+
+
+def _relu_fwd(ins, out, meta, state):
+    return np.maximum(ins[0], 0.0, out=out)
+
+
+def _relu_bwd(g, ins, out, meta, state, need):
+    mask = np.greater(out, 0.0, out=_scratch(state, "relu_mask", out.shape, bool))
+    return (np.multiply(g, mask, out=_scratch(state, "relu_g", g.shape)),)
+
+
+def _tanh_fwd(ins, out, meta, state):
+    return np.tanh(ins[0], out=out)
+
+
+def _tanh_bwd(g, ins, out, meta, state, need):
+    grad = np.multiply(out, out, out=_scratch(state, "tanh_g", g.shape))
+    np.subtract(1.0, grad, out=grad)
+    return (np.multiply(g, grad, out=grad),)
+
+
+def _sigmoid_fwd(ins, out, meta, state):
+    out = np.negative(ins[0], out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _sigmoid_bwd(g, ins, out, meta, state, need):
+    grad = np.multiply(g, out, out=_scratch(state, "sigmoid_g", g.shape))
+    return (np.multiply(grad, 1.0 - out, out=grad),)
+
+
+def _exp_fwd(ins, out, meta, state):
+    return np.exp(ins[0], out=out)
+
+
+def _exp_bwd(g, ins, out, meta, state, need):
+    return (np.multiply(g, out, out=_scratch(state, "exp_g", g.shape)),)
+
+
+def _log_fwd(ins, out, meta, state):
+    return np.log(ins[0], out=out)
+
+
+def _log_bwd(g, ins, out, meta, state, need):
+    return (np.divide(g, ins[0], out=_scratch(state, "log_g", g.shape)),)
+
+
+# ----------------------------------------------------------------------
+# convolutions: im2col, then one 2-D matmul per sample.  The columns are
+# saved for the backward pass; ``cols`` is ``(n, c_in * kernel, l_out)``.
+
+
+def _conv_fwd(cols: np.ndarray, ins: Arrays, out: np.ndarray) -> np.ndarray:
+    """``out <- weight @ cols (+ bias)`` over flattened kernel windows."""
+    w = ins[1].reshape(ins[1].shape[0], -1)
+    flat = out.reshape(out.shape[0], out.shape[1], -1)
+    for i in range(cols.shape[0]):
+        np.matmul(w, cols[i], out=flat[i])
+    if len(ins) == 3:
+        np.add(flat, ins[2][None, :, None], out=flat)
+    return out
+
+
+def _conv_bwd(g: np.ndarray, ins: Arrays, state: Dict[str, Any], need: Sequence[bool]):
+    """Weight and bias gradients, plus the gradient of the columns."""
+    w = ins[1].reshape(ins[1].shape[0], -1)
+    cols = state["cols"]
+    g = g.reshape(g.shape[0], g.shape[1], -1)
+    grads: List[Optional[np.ndarray]] = [None] * len(ins)
+    grad_cols = None
+    if need[0]:
+        grad_cols = _scratch(state, "conv_gcols", cols.shape)
+        for i in range(g.shape[0]):
+            np.matmul(w.T, g[i], out=grad_cols[i])
+    if need[1]:
+        grad_w = _scratch(state, "conv_gw", w.shape)
+        np.matmul(g[0], cols[0].T, out=grad_w)
+        for i in range(1, g.shape[0]):
+            grad_w += g[i] @ cols[i].T
+        grads[1] = grad_w.reshape(ins[1].shape)
+    if len(ins) == 3 and need[2]:
+        grads[2] = np.sum(g, axis=(0, 2), out=_scratch(state, "conv_gb", ins[2].shape))
+    return grads, grad_cols
+
+
+def _conv1d_fwd(ins, out, meta, state):
+    x, w = ins[0], ins[1]
+    stride = meta["stride"]
+    n, c_in, length = x.shape
+    kernel = w.shape[2]
+    l_out = (length - kernel) // stride + 1
+    cols = _saved(state, "cols", (n, c_in * kernel, l_out), x.dtype)
+    s0, s1, s2 = x.strides
+    patches = as_strided(
+        x, (n, c_in, kernel, l_out), (s0, s1, s2, s2 * stride), writeable=False
+    )
+    np.copyto(cols.reshape(patches.shape), patches)
+    if out is None:
+        out = np.empty((n, w.shape[0], l_out), x.dtype)
+    return _conv_fwd(cols, ins, out)
+
+
+def _conv1d_bwd(g, ins, out, meta, state, need):
+    grads, grad_cols = _conv_bwd(g, ins, state, need)
+    if grad_cols is not None:
+        x = ins[0]
+        stride, kernel, l_out = meta["stride"], ins[1].shape[2], g.shape[2]
+        windows = grad_cols.reshape(x.shape[0], x.shape[1], kernel, l_out)
+        grad_x = grads[0] = _zeroed(state, "conv_gx", x.shape)
+        for k in range(kernel):
+            grad_x[:, :, k : k + stride * l_out : stride] += windows[:, :, k, :]
+    return grads
+
+
+def _conv2d_geometry(x: np.ndarray, w: np.ndarray, meta: Dict[str, Any]):
+    (sh, sw), (ph, pw) = meta["stride"], meta["padding"]
+    kh, kw = w.shape[2], w.shape[3]
+    h_out = (x.shape[2] + 2 * ph - kh) // sh + 1
+    w_out = (x.shape[3] + 2 * pw - kw) // sw + 1
+    return sh, sw, ph, pw, kh, kw, h_out, w_out
+
+
+def _conv2d_fwd(ins, out, meta, state):
+    x, w = ins[0], ins[1]
+    sh, sw, ph, pw, kh, kw, h_out, w_out = _conv2d_geometry(x, w, meta)
+    n, c_in, height, width = x.shape
+    if ph or pw:
+        padded = state.get("padded")
+        if padded is None:  # the border is never written, so stays zero
+            padded = np.zeros((n, c_in, height + 2 * ph, width + 2 * pw), x.dtype)
+            if isinstance(state, Workspace):
+                state["padded"] = padded
+        padded[:, :, ph : ph + height, pw : pw + width] = x
+        x = padded
+    cols = _saved(state, "cols", (n, c_in * kh * kw, h_out * w_out), x.dtype)
+    s0, s1, s2, s3 = x.strides
+    patches = as_strided(
+        x, (n, c_in, kh, kw, h_out, w_out), (s0, s1, s2, s3, s2 * sh, s3 * sw),
+        writeable=False,
+    )
+    np.copyto(cols.reshape(patches.shape), patches)
+    if out is None:
+        out = np.empty((n, w.shape[0], h_out, w_out), x.dtype)
+    return _conv_fwd(cols, ins, out)
+
+
+def _conv2d_bwd(g, ins, out, meta, state, need):
+    grads, grad_cols = _conv_bwd(g, ins, state, need)
+    if grad_cols is not None:
+        x = ins[0]
+        sh, sw, ph, pw, kh, kw, h_out, w_out = _conv2d_geometry(x, ins[1], meta)
+        n, c_in, height, width = x.shape
+        windows = grad_cols.reshape(n, c_in, kh, kw, h_out, w_out)
+        grad_padded = _zeroed(state, "conv_gx", (n, c_in, height + 2 * ph, width + 2 * pw))
+        for i in range(kh):
+            for j in range(kw):
+                grad_padded[
+                    :, :, i : i + sh * h_out : sh, j : j + sw * w_out : sw
+                ] += windows[:, :, i, j]
+        grads[0] = grad_padded[:, :, ph : ph + height, pw : pw + width]
+    return grads
+
+
+# ----------------------------------------------------------------------
+# pooling
+
+
+def adaptive_window_bounds(input_size: int, output_size: int, index: int) -> Tuple[int, int]:
+    """Window ``[start, end)`` for output cell ``index`` (PyTorch rule).
+
+    ``start = floor(index * in / out)``, ``end = ceil((index + 1) * in / out)``.
+    Windows tile the input, overlap when ``in`` is not a multiple of
+    ``out``, and adapt their size to the input — exactly the behaviour the
+    paper illustrates in Figure 6.
+    """
+    start = (index * input_size) // output_size
+    end = math.ceil((index + 1) * input_size / output_size)
+    return start, end
+
+
+def _pool_windows(meta: Dict[str, Any], state: Dict[str, Any], height: int, width: int):
+    """``(grid, windows, corners)`` of a max pool, computed once per node.
+
+    ``windows`` lists ``(oh, ow, h0, h1, w0, w1)`` row-major over the
+    grid; ``corners`` holds each window's ``(h0, w0, width)`` as arrays
+    shaped like the grid, for turning flat window argmaxes into input
+    coordinates.
+    """
+    plan = state.get("windows")
+    if plan is not None:
+        return plan
+    if "grid" in meta:
+        oh_size, ow_size = meta["grid"]
+        rows = [adaptive_window_bounds(height, oh_size, oh) for oh in range(oh_size)]
+        cols = [adaptive_window_bounds(width, ow_size, ow) for ow in range(ow_size)]
+    else:
+        (kh, kw), (sh, sw) = meta["kernel"], meta["stride"]
+        oh_size = (height - kh) // sh + 1
+        ow_size = (width - kw) // sw + 1
+        rows = [(oh * sh, oh * sh + kh) for oh in range(oh_size)]
+        cols = [(ow * sw, ow * sw + kw) for ow in range(ow_size)]
+    windows = [
+        (oh, ow, h0, h1, w0, w1)
+        for oh, (h0, h1) in enumerate(rows)
+        for ow, (w0, w1) in enumerate(cols)
+    ]
+    corners = np.array([(h0, w0, w1 - w0) for _, _, h0, _, w0, w1 in windows]).T
+    plan = state["windows"] = ((oh_size, ow_size), windows, corners.reshape(3, oh_size, ow_size))
+    return plan
+
+
+def _max_pool_fwd(ins, out, meta, state):
+    """Shared by ``max_pool2d`` and ``adaptive_max_pool2d``.
+
+    Saves each window's first (row-major) argmax for the backward.
+    """
+    x = ins[0]
+    n, c = x.shape[0], x.shape[1]
+    grid, windows, _ = _pool_windows(meta, state, x.shape[2], x.shape[3])
+    if out is None:
+        out = np.empty((n, c) + grid, x.dtype)
+    best = _saved(state, "argmax", (n, c) + grid, np.int64) if _differentiable(state) else None
+    for oh, ow, h0, h1, w0, w1 in windows:
+        window = x[:, :, h0:h1, w0:w1]
+        np.maximum.reduce(window, axis=(2, 3), out=out[:, :, oh, ow])
+        if best is not None:
+            window.reshape(n, c, -1).argmax(axis=2, out=best[:, :, oh, ow])
+    return out
+
+
+def _max_pool_bwd(g, ins, out, meta, state, need):
+    x = ins[0]
+    n, c = x.shape[0], x.shape[1]
+    _, _, (h0, w0, win_w) = _pool_windows(meta, state, x.shape[2], x.shape[3])
+    # The saved window argmaxes, turned into input coordinates.
+    best = state["argmax"]
+    rows = h0 + best // win_w
+    cols = w0 + best % win_w
+    grad_x = _zeroed(state, "pool_g", x.shape)
+    # One scatter over every window: it adds in (n, c, oh, ow) order, so
+    # overlapping adaptive windows accumulate in window order.
+    np.add.at(
+        grad_x,
+        (np.arange(n)[:, None, None, None], np.arange(c)[None, :, None, None], rows, cols),
+        g,
+    )
+    return (grad_x,)
+
+
+def _sort_pool_fwd(ins, out, meta, state):
+    x = ins[0]
+    k = meta["k"]
+    order = state["order"] = meta["order_fn"](x)
+    m = min(x.shape[0], k)
+    if out is None:
+        out = np.empty((k, x.shape[1]), x.dtype)
+    out[m:] = 0.0
+    np.take(x, order[:m], axis=0, out=out[:m])
+    return out
+
+
+def _sort_pool_bwd(g, ins, out, meta, state, need):
+    m = min(ins[0].shape[0], meta["k"])
+    full = _zeroed(state, "sort_pool_g", ins[0].shape)
+    np.add.at(full, state["order"][:m], g[:m])
+    return (full,)
+
+
+# ----------------------------------------------------------------------
+# sparse propagation
+
+
+def _spmm(matrix: Any, src: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``matrix @ src`` for a scipy CSR ``matrix``, written into ``out``.
+
+    ``csr_matvecs`` accumulates ``dst += A @ src`` into a zeroed ``dst``
+    — exactly what scipy's own ``@`` does into its freshly zeroed result,
+    so both spellings run identical arithmetic.
+    """
+    if out is None:
+        out = np.zeros((matrix.shape[0], src.shape[1]), np.result_type(matrix.dtype, src.dtype))
+    else:
+        out.fill(0.0)
+    if (
+        _HAVE_CSR_MATVECS
+        and getattr(matrix, "format", None) == "csr"
+        and src.flags.c_contiguous
+        and out.flags.c_contiguous
+        and matrix.data.dtype == src.dtype == out.dtype
+    ):
+        n_rows, n_cols = matrix.shape
+        _sparse_kernels.csr_matvecs(
+            n_rows,
+            n_cols,
+            src.shape[1],
+            matrix.indptr,
+            matrix.indices,
+            matrix.data,
+            src.ravel(),
+            out.ravel(),
+        )
+    else:
+        out[...] = matrix @ src
+    return out
+
+
+def _spmm_fwd(ins, out, meta, state):
+    return _spmm(meta["matrix"], ins[0], out)
+
+
+def _spmm_bwd(g, ins, out, meta, state, need):
+    matrix_t = meta.get("matrix_t")
+    if matrix_t is None:  # transposed lazily, once per operand
+        matrix_t = meta["matrix_t"] = meta["matrix"].T.tocsr()
+    return (_spmm(matrix_t, g, _scratch(state, "spmm_g", ins[0].shape)),)
+
+
+# ----------------------------------------------------------------------
+# softmax family and regularization
+
+
+def _log_softmax_fwd(ins, out, meta, state):
+    x = ins[0]
+    axis = meta["axis"]
+    reduced = _reduced_shape(x.shape, axis)
+    peak = np.maximum.reduce(
+        x, axis=axis, keepdims=True, out=_scratch(state, "lsm_max", reduced, x.dtype)
+    )
+    shifted = np.subtract(x, peak, out=out)
+    exps = np.exp(shifted, out=_scratch(state, "lsm_exp", x.shape, x.dtype))
+    log_sum = np.add.reduce(
+        exps, axis=axis, keepdims=True, out=_scratch(state, "lsm_sum", reduced, x.dtype)
+    )
+    np.log(log_sum, out=log_sum)
+    return np.subtract(shifted, log_sum, out=shifted)
+
+
+def _log_softmax_bwd(g, ins, out, meta, state, need):
+    axis = meta["axis"]
+    softmax = np.exp(out, out=_scratch(state, "lsm_exp", out.shape))
+    g_sum = np.add.reduce(
+        g, axis=axis, keepdims=True, out=_scratch(state, "lsm_gsum", _reduced_shape(g.shape, axis))
+    )
+    np.multiply(softmax, g_sum, out=softmax)
+    return (np.subtract(g, softmax, out=_scratch(state, "lsm_g", g.shape)),)
+
+
+def _dropout_fwd(ins, out, meta, state):
+    x = ins[0]
+    p = meta["p"]
+    rand = meta["rng"].random(out=_scratch(state, "drop_rand", x.shape))
+    keep = np.greater_equal(rand, p, out=_scratch(state, "drop_keep", x.shape, bool))
+    mask = np.divide(keep, 1.0 - p, out=_saved(state, "mask", x.shape))
+    return np.multiply(x, mask, out=out)
+
+
+def _dropout_bwd(g, ins, out, meta, state, need):
+    return (np.multiply(g, state["mask"], out=_scratch(state, "drop_g", g.shape)),)
+
+
+# ----------------------------------------------------------------------
+# fused kernels (emitted only by the tape's fusion pass): compositions of
+# the entries above, run in place on one output buffer
+
+
+def _spmm_act_fwd(ins, out, meta, state):
+    out = _spmm_fwd(ins, out, meta, state)
+    return OPS[meta["activation"]].forward((out,), out, meta, state)
+
+
+def _spmm_act_bwd(g, ins, out, meta, state, need):
+    (grad,) = OPS[meta["activation"]].backward(g, (out,), out, meta, state, (True,))
+    return _spmm_bwd(grad, ins, out, meta, state, need)
+
+
+def _linear_relu_fwd(ins, out, meta, state):
+    x, w, b = ins
+    out = _matmul_fwd((x, w), out, meta, state)
+    out = _add_fwd((out, b), out, meta, state)
+    return _relu_fwd((out,), out, meta, state)
+
+
+def _linear_relu_bwd(g, ins, out, meta, state, need):
+    x, w, b = ins
+    (grad,) = _relu_bwd(g, (out,), out, meta, state, (True,))
+    grad_b = _add_bwd(grad, (out, b), out, meta, state, (False, need[2]))[1]
+    grad_x, grad_w = _matmul_bwd(grad, (x, w), out, meta, state, need[:2])
+    return (grad_x, grad_w, grad_b)
+
+
+OPS: Dict[str, Op] = {
+    "add": Op(_add_fwd, _add_bwd),
+    "sub": Op(_sub_fwd, _sub_bwd),
+    "mul": Op(_mul_fwd, _mul_bwd),
+    "div": Op(_div_fwd, _div_bwd),
+    "neg": Op(_neg_fwd, _neg_bwd),
+    "pow": Op(_pow_fwd, _pow_bwd),
+    "matmul": Op(_matmul_fwd, _matmul_bwd),
+    "transpose": Op(_transpose_fwd, _transpose_bwd),
+    "reshape": Op(_reshape_fwd, _reshape_bwd),
+    "getitem": Op(_getitem_fwd, _getitem_bwd),
+    "concat": Op(_concat_fwd, _concat_bwd),
+    "stack": Op(_stack_fwd, _stack_bwd),
+    "gather": Op(_gather_fwd, _gather_bwd),
+    "pad_rows": Op(_pad_rows_fwd, _pad_rows_bwd),
+    "sum": Op(_sum_fwd, _sum_bwd),
+    "max": Op(_max_fwd, _max_bwd),
+    "relu": Op(_relu_fwd, _relu_bwd),
+    "tanh": Op(_tanh_fwd, _tanh_bwd),
+    "sigmoid": Op(_sigmoid_fwd, _sigmoid_bwd),
+    "exp": Op(_exp_fwd, _exp_bwd),
+    "log": Op(_log_fwd, _log_bwd),
+    "conv1d": Op(_conv1d_fwd, _conv1d_bwd),
+    "conv2d": Op(_conv2d_fwd, _conv2d_bwd),
+    "max_pool2d": Op(_max_pool_fwd, _max_pool_bwd),
+    "adaptive_max_pool2d": Op(_max_pool_fwd, _max_pool_bwd),
+    "sort_pool": Op(_sort_pool_fwd, _sort_pool_bwd),
+    "spmm": Op(_spmm_fwd, _spmm_bwd),
+    "log_softmax": Op(_log_softmax_fwd, _log_softmax_bwd),
+    "dropout": Op(_dropout_fwd, _dropout_bwd),
+    "spmm_act": Op(_spmm_act_fwd, _spmm_act_bwd),
+    "linear_relu": Op(_linear_relu_fwd, _linear_relu_bwd),
+}

@@ -9,45 +9,32 @@ accumulating gradients.
 
 Design notes
 ------------
-* Every differentiable operation creates a new tensor whose ``_grad_fn``
-  maps the incoming output gradient to per-parent input gradients.
-* Broadcasting follows numpy semantics; :func:`_unbroadcast` sums
-  gradients back down to each parent's shape.
+* Every differentiable operation is one entry of the op table in
+  :mod:`repro.nn.ops`.  :func:`apply_op` runs the entry's forward kernel
+  into a fresh array and stamps the output with the entry's name
+  (``_op``), its static parameters (``_op_meta``) and a fresh per-node
+  ``state`` dict that the backward kernel reads back (argmaxes, masks,
+  im2col columns).  :meth:`Tensor.backward` calls the same entry's
+  backward kernel, and the compiled tape (:mod:`repro.nn.tape`) replays
+  the same kernels into arena buffers, so both engines share one
+  implementation of every op.  Ops built purely by composing other ops
+  (``mean``, ``max_pool1d``) need no entry of their own.
+* Broadcasting follows numpy semantics; backward kernels sum gradients
+  back down to each parent's shape.
 * Gradients are plain ``numpy.ndarray``s stored on leaf (and, when
   requested, interior) tensors, mirroring PyTorch's ``.grad``.
-* Every op additionally stamps its output with a tape kind (``_op``) and
-  the static metadata a replay kernel needs (``_op_meta``) so that
-  :mod:`repro.nn.tape` can compile a recorded graph into a flat op list
-  without re-executing Python closures.  Ops built purely by composing
-  other ops (``mean``, ``max_pool1d``) need no kind of their own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import GradientError, ShapeError
+from repro.nn.ops import OPS
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so its shape matches ``shape`` after broadcasting."""
-    if grad.shape == shape:
-        return grad
-    # Sum away prepended broadcast dimensions.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum along dimensions that were broadcast from size one.
-    axes = tuple(
-        axis for axis, size in enumerate(shape) if size == 1 and grad.shape[axis] != 1
-    )
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -61,6 +48,7 @@ class Tensor:
         "_grad_fn",
         "_op",
         "_op_meta",
+        "_state",
         "_order_cache",
         "name",
     )
@@ -79,7 +67,8 @@ class Tensor:
         self._parents: Tuple["Tensor", ...] = ()
         self._grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
         self._op: Optional[str] = None
-        self._op_meta: Optional[dict] = None
+        self._op_meta: Optional[Dict[str, Any]] = None
+        self._state: Optional[Dict[str, Any]] = None
         self._order_cache: Optional[List["Tensor"]] = None
         self.name = name
 
@@ -90,10 +79,17 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
-        grad_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
+        grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None,
         op: Optional[str] = None,
-        meta: Optional[dict] = None,
+        meta: Optional[Dict[str, Any]] = None,
+        state: Optional[Dict[str, Any]] = None,
     ) -> "Tensor":
+        """Wrap ``data`` as a node; records the graph if a parent needs grad.
+
+        Table ops pass their entry name ``op``; a bare ``grad_fn`` closure
+        records a custom op that eager autograd runs but the compiled
+        tape refuses.
+        """
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -101,6 +97,7 @@ class Tensor:
             out._grad_fn = grad_fn
             out._op = op
             out._op_meta = meta
+            out._state = state
         return out
 
     @property
@@ -179,10 +176,21 @@ class Tensor:
                 # In-place accumulation: `.grad` buffers persist across
                 # steps (see zero_grad) instead of being reallocated.
                 node.grad += node_grad
-            if node._grad_fn is None:
+            parents = node._parents
+            if node._op is not None:
+                parent_grads = OPS[node._op].backward(
+                    node_grad,
+                    [p.data for p in parents],
+                    node.data,
+                    node._op_meta,
+                    node._state,
+                    [p.requires_grad for p in parents],
+                )
+            elif node._grad_fn is not None:
+                parent_grads = node._grad_fn(node_grad)
+            else:
                 continue
-            parent_grads = node._grad_fn(node_grad)
-            for parent, parent_grad in zip(node._parents, parent_grads):
+            for parent, parent_grad in zip(parents, parent_grads):
                 if parent_grad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
@@ -218,68 +226,26 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def grad_fn(grad: np.ndarray):
-            return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(grad, other.data.shape),
-            )
-
-        return Tensor._make(out_data, (self, other), grad_fn, op="add")
+        return apply_op("add", (self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def grad_fn(grad: np.ndarray):
-            return (-grad,)
-
-        return Tensor._make(-self.data, (self,), grad_fn, op="neg")
+        return apply_op("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def grad_fn(grad: np.ndarray):
-            return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(-grad, other.data.shape),
-            )
-
-        return Tensor._make(out_data, (self, other), grad_fn, op="sub")
+        return apply_op("sub", (self, self._coerce(other)))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def grad_fn(grad: np.ndarray):
-            return (
-                _unbroadcast(grad * other.data, self.data.shape),
-                _unbroadcast(grad * self.data, other.data.shape),
-            )
-
-        return Tensor._make(out_data, (self, other), grad_fn, op="mul")
+        return apply_op("mul", (self, self._coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def grad_fn(grad: np.ndarray):
-            return (
-                _unbroadcast(grad / other.data, self.data.shape),
-                _unbroadcast(
-                    -grad * self.data / (other.data * other.data),
-                    other.data.shape,
-                ),
-            )
-
-        return Tensor._make(out_data, (self, other), grad_fn, op="div")
+        return apply_op("div", (self, self._coerce(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other) / self
@@ -287,57 +253,20 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise ShapeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def grad_fn(grad: np.ndarray):
-            return (grad * exponent * self.data ** (exponent - 1),)
-
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="pow", meta={"exponent": exponent}
-        )
+        return apply_op("pow", (self,), {"exponent": exponent})
 
     # ------------------------------------------------------------------
     # matrix ops
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product supporting 2-D operands (and 1-D vectors)."""
-        other = self._coerce(other)
-        out_data = self.data @ other.data
-
-        def grad_fn(grad: np.ndarray):
-            a, b = self.data, other.data
-            # Promote 1-D operands to 2-D, apply the 2-D rule, then
-            # squeeze the promoted axis back out of the result.
-            a2 = a[None, :] if a.ndim == 1 else a
-            b2 = b[:, None] if b.ndim == 1 else b
-            grad2 = np.asarray(grad)
-            if a.ndim == 1:
-                grad2 = grad2[None, ...]
-            if b.ndim == 1:
-                grad2 = grad2[..., None]
-            grad_a = grad2 @ b2.swapaxes(-1, -2)
-            grad_b = a2.swapaxes(-1, -2) @ grad2
-            if a.ndim == 1:
-                grad_a = grad_a.reshape(a.shape)
-            if b.ndim == 1:
-                grad_b = grad_b.reshape(b.shape)
-            return (grad_a, grad_b)
-
-        return Tensor._make(out_data, (self, other), grad_fn, op="matmul")
+        return apply_op("matmul", (self, self._coerce(other)))
 
     __matmul__ = matmul
 
     def transpose(self, *axes: int) -> "Tensor":
         order = axes if axes else tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(order)
-        inverse = np.argsort(order)
-
-        def grad_fn(grad: np.ndarray):
-            return (grad.transpose(inverse),)
-
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="transpose", meta={"order": tuple(order)}
-        )
+        return apply_op("transpose", (self,), {"order": tuple(order)})
 
     @property
     def T(self) -> "Tensor":
@@ -346,52 +275,16 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def grad_fn(grad: np.ndarray):
-            return (grad.reshape(original),)
-
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="reshape", meta={"shape": tuple(shape)}
-        )
+        return apply_op("reshape", (self,), {"shape": tuple(shape)})
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
-        original_shape = self.data.shape
-
-        def grad_fn(grad: np.ndarray):
-            full = np.zeros(original_shape, dtype=np.float64)
-            np.add.at(full, key, grad)
-            return (full,)
-
-        return Tensor._make(out_data, (self,), grad_fn, op="getitem", meta={"key": key})
+        return apply_op("getitem", (self,), {"key": key})
 
     # ------------------------------------------------------------------
     # reductions
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        original_shape = self.data.shape
-
-        def grad_fn(grad: np.ndarray):
-            if axis is None:
-                return (np.broadcast_to(grad, original_shape).copy(),)
-            grad_expanded = grad
-            if not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(original_shape) for a in axes)
-                for a in sorted(axes):
-                    grad_expanded = np.expand_dims(grad_expanded, a)
-            return (np.broadcast_to(grad_expanded, original_shape).copy(),)
-
-        return Tensor._make(
-            out_data,
-            (self,),
-            grad_fn,
-            op="sum",
-            meta={"axis": axis, "keepdims": keepdims},
-        )
+        return apply_op("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -405,65 +298,34 @@ class Tensor:
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Maximum along one axis; gradient routes to the arg-max entries."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        argmax = self.data.argmax(axis=axis)
-        original_shape = self.data.shape
-
-        def grad_fn(grad: np.ndarray):
-            grad_in = np.zeros(original_shape, dtype=np.float64)
-            grad_vals = grad if keepdims else np.expand_dims(grad, axis)
-            idx = np.expand_dims(argmax, axis)
-            np.put_along_axis(grad_in, idx, grad_vals, axis)
-            return (grad_in,)
-
-        return Tensor._make(
-            out_data,
-            (self,),
-            grad_fn,
-            op="max",
-            meta={"axis": axis, "keepdims": keepdims},
-        )
+        return apply_op("max", (self,), {"axis": axis, "keepdims": keepdims})
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def grad_fn(grad: np.ndarray):
-            return (grad * mask,)
-
-        return Tensor._make(np.where(mask, self.data, 0.0), (self,), grad_fn, op="relu")
+        return apply_op("relu", (self,))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def grad_fn(grad: np.ndarray):
-            return (grad * (1.0 - out_data * out_data),)
-
-        return Tensor._make(out_data, (self,), grad_fn, op="tanh")
+        return apply_op("tanh", (self,))
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def grad_fn(grad: np.ndarray):
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor._make(out_data, (self,), grad_fn, op="sigmoid")
+        return apply_op("sigmoid", (self,))
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def grad_fn(grad: np.ndarray):
-            return (grad * out_data,)
-
-        return Tensor._make(out_data, (self,), grad_fn, op="exp")
+        return apply_op("exp", (self,))
 
     def log(self) -> "Tensor":
-        def grad_fn(grad: np.ndarray):
-            return (grad / self.data,)
+        return apply_op("log", (self,))
 
-        return Tensor._make(np.log(self.data), (self,), grad_fn, op="log")
+
+def apply_op(
+    kind: str, parents: Tuple[Tensor, ...], meta: Optional[Dict[str, Any]] = None
+) -> Tensor:
+    """Run op-table entry ``kind`` eagerly over ``parents`` and record it."""
+    state: Dict[str, Any] = {}
+    data = OPS[kind].forward([p.data for p in parents], None, meta, state)
+    return Tensor._make(data, parents, op=kind, meta=meta, state=state)
 
 
 # ----------------------------------------------------------------------
@@ -472,36 +334,18 @@ class Tensor:
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient splitting."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    if not tensors:
+    parents = tuple(Tensor._coerce(t) for t in tensors)
+    if not parents:
         raise ShapeError("concatenate() needs at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(grad: np.ndarray):
-        pieces = []
-        for i in range(len(tensors)):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(grad[tuple(index)])
-        return tuple(pieces)
-
-    return Tensor._make(out_data, tuple(tensors), grad_fn, op="concat", meta={"axis": axis})
+    return apply_op("concat", parents, {"axis": axis})
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shaped tensors along a new axis."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    if not tensors:
+    parents = tuple(Tensor._coerce(t) for t in tensors)
+    if not parents:
         raise ShapeError("stack() needs at least one tensor")
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def grad_fn(grad: np.ndarray):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
-
-    return Tensor._make(out_data, tuple(tensors), grad_fn, op="stack", meta={"axis": axis})
+    return apply_op("stack", parents, {"axis": axis})
 
 
 def gather_rows(tensor: Tensor, indices: np.ndarray) -> Tensor:
@@ -514,17 +358,7 @@ def gather_rows(tensor: Tensor, indices: np.ndarray) -> Tensor:
     if tensor.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got {tensor.shape}")
     indices = np.asarray(indices, dtype=np.int64)
-    out_data = tensor.data[indices]
-    n_rows = tensor.data.shape[0]
-
-    def grad_fn(grad: np.ndarray):
-        grad_in = np.zeros_like(tensor.data)
-        np.add.at(grad_in, indices, grad)
-        return (grad_in,)
-
-    return Tensor._make(
-        out_data, (tensor,), grad_fn, op="gather", meta={"indices": indices}
-    )
+    return apply_op("gather", (tensor,), {"indices": indices})
 
 
 def pad_rows(tensor: Tensor, total_rows: int) -> Tensor:
@@ -532,15 +366,9 @@ def pad_rows(tensor: Tensor, total_rows: int) -> Tensor:
     tensor = Tensor._coerce(tensor)
     if tensor.ndim != 2:
         raise ShapeError(f"pad_rows expects a 2-D tensor, got {tensor.shape}")
-    n, c = tensor.shape
+    n = tensor.shape[0]
     if total_rows < n:
         raise ShapeError(f"cannot pad {n} rows down to {total_rows}")
     if total_rows == n:
         return tensor
-    out_data = np.zeros((total_rows, c), dtype=np.float64)
-    out_data[:n] = tensor.data
-
-    def grad_fn(grad: np.ndarray):
-        return (grad[:n],)
-
-    return Tensor._make(out_data, (tensor,), grad_fn, op="pad_rows", meta={"rows": n})
+    return apply_op("pad_rows", (tensor,), {"total_rows": total_rows})

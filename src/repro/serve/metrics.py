@@ -69,10 +69,6 @@ class ServeMetrics:
                 if kind:
                     self._failures_by_kind[kind] += 1
 
-    def observe_cache(self, hit: bool) -> None:
-        """Back-compat shim: a plain hit is an exact-tier hit."""
-        self.observe_cache_tier("exact" if hit else "miss")
-
     def observe_cache_tier(
         self, tier: str, similarity: Optional[float] = None
     ) -> None:

@@ -1,4 +1,4 @@
-"""Batch-mode supervised process pool (moved from ``repro.features.pool``).
+"""Batch-mode supervised process pool.
 
 This module implements the small supervised pool the extraction service
 requires:

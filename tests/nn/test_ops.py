@@ -1,0 +1,204 @@
+"""Op-level parity of the two engines over every op-table entry.
+
+Each case builds one op (or, for the fused entries, the chain the tape's
+fusion pass collapses into it) over ``requires_grad`` leaves and checks
+three runs against each other: eager autograd, the compiled tape on the
+capture inputs, and a replay of the same tape after every leaf is
+rebound to new values and the batch to a new same-shape batch.  float64
+compares the forward output and every input gradient with
+``np.array_equal``; float32 inference stays within 1e-4 of the float64
+eager output.
+
+Several kinds (``sub``, ``pow``, ``gather``, ...) are reached by no DGCNN
+variant, so this is the only test of their replay path.
+"""
+
+from typing import Callable, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
+import pytest
+
+from repro.core.batched import GraphBatch
+from repro.core.sort_pooling import sort_pool
+from repro.features.acfg import ACFG
+from repro.nn import functional as F
+from repro.nn.ops import OPS
+from repro.nn.tape import compile_output
+from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
+
+FLOAT32_ATOL = 1e-4
+VERTICES = (3, 4)
+
+
+class Case(NamedTuple):
+    name: str
+    kind: str
+    shapes: Tuple[Tuple[int, ...], ...]
+    fn: Callable[[List[Tensor], GraphBatch, np.random.Generator], Tensor]
+    positive: bool = False  # draw inputs from [0.5, 2) (log, div, pow)
+
+
+def graph_batch(seed: int) -> GraphBatch:
+    rng = np.random.default_rng(seed)
+    acfgs = []
+    for n in VERTICES:
+        adjacency = (rng.random((n, n)) < 0.5).astype(float)
+        np.fill_diagonal(adjacency, 0.0)
+        acfgs.append(ACFG(adjacency=adjacency, attributes=rng.standard_normal((n, 11))))
+    return GraphBatch(acfgs)
+
+
+def propagate(x: Tensor, batch: GraphBatch) -> Tensor:
+    return F.sparse_matmul(batch.propagation, x, batch.propagation_transpose())
+
+
+N = sum(VERTICES)
+
+CASES = [
+    Case("add_broadcast", "add", ((3, 4), (4,)), lambda t, b, r: t[0] + t[1]),
+    Case("sub_broadcast", "sub", ((3, 4), (3, 1)), lambda t, b, r: t[0] - t[1]),
+    Case("mul", "mul", ((2, 3), (2, 3)), lambda t, b, r: t[0] * t[1]),
+    Case("div", "div", ((2, 3), (2, 3)), lambda t, b, r: t[0] / t[1], positive=True),
+    Case("neg", "neg", ((2, 3),), lambda t, b, r: -t[0]),
+    Case("pow", "pow", ((5,),), lambda t, b, r: t[0] ** 3, positive=True),
+    Case("matmul", "matmul", ((3, 4), (4, 2)), lambda t, b, r: t[0] @ t[1]),
+    Case("matmul_vector", "matmul", ((4,), (4, 2)), lambda t, b, r: t[0] @ t[1]),
+    Case("transpose", "transpose", ((2, 3, 4),), lambda t, b, r: t[0].transpose(1, 0, 2)),
+    Case("reshape", "reshape", ((2, 6),), lambda t, b, r: t[0].reshape(3, 4)),
+    Case("getitem_slice", "getitem", ((5, 3),), lambda t, b, r: t[0][1:4]),
+    Case("getitem_repeats", "getitem", ((5, 3),), lambda t, b, r: t[0][[0, 2, 0]]),
+    Case("concat", "concat", ((2, 3), (2, 2)),
+         lambda t, b, r: concatenate([t[0], t[1]], axis=1)),
+    Case("stack", "stack", ((2, 3), (2, 3)), lambda t, b, r: stack([t[0], t[1]], axis=1)),
+    Case("gather", "gather", ((4, 3),), lambda t, b, r: gather_rows(t[0], [2, 0, 2])),
+    Case("pad_rows", "pad_rows", ((3, 2),), lambda t, b, r: pad_rows(t[0], 5)),
+    Case("sum_axis", "sum", ((3, 4),), lambda t, b, r: t[0].sum(axis=1)),
+    Case("sum_all", "sum", ((3, 4),), lambda t, b, r: t[0].sum()),
+    Case("max", "max", ((3, 4),), lambda t, b, r: t[0].max(axis=1)),
+    Case("relu", "relu", ((3, 4),), lambda t, b, r: t[0].relu()),
+    Case("tanh", "tanh", ((3, 4),), lambda t, b, r: t[0].tanh()),
+    Case("sigmoid", "sigmoid", ((3, 4),), lambda t, b, r: t[0].sigmoid()),
+    Case("exp", "exp", ((3, 4),), lambda t, b, r: t[0].exp()),
+    Case("log", "log", ((3, 4),), lambda t, b, r: t[0].log(), positive=True),
+    Case("conv1d", "conv1d", ((2, 3, 9), (4, 3, 3), (4,)),
+         lambda t, b, r: F.conv1d(t[0], t[1], t[2], stride=2)),
+    Case("conv2d_padded", "conv2d", ((1, 2, 5, 4), (3, 2, 3, 3), (3,)),
+         lambda t, b, r: F.conv2d(t[0], t[1], t[2], stride=1, padding=1)),
+    Case("conv2d_strided", "conv2d", ((1, 2, 6, 5), (3, 2, 2, 2)),
+         lambda t, b, r: F.conv2d(t[0], t[1], stride=2)),
+    Case("max_pool2d", "max_pool2d", ((2, 2, 4, 6),),
+         lambda t, b, r: F.max_pool2d(t[0], 2)),
+    Case("adaptive_max_pool2d", "adaptive_max_pool2d", ((1, 2, 5, 7),),
+         lambda t, b, r: F.adaptive_max_pool2d(t[0], (3, 3))),
+    # float32 tapes pool before the ReLU (see test below).
+    Case("max_pool2d_of_relu", "max_pool2d", ((2, 2, 4, 6),),
+         lambda t, b, r: F.max_pool2d(t[0].relu(), 2)),
+    Case("sort_pool_truncate", "sort_pool", ((6, 4),), lambda t, b, r: sort_pool(t[0], 4)),
+    Case("sort_pool_pad", "sort_pool", ((3, 4),), lambda t, b, r: sort_pool(t[0], 5)),
+    Case("spmm", "spmm", ((N, 3),), lambda t, b, r: propagate(t[0], b)),
+    # No transpose passed: the backward transposes lazily, and a replay
+    # must still use the replay batch's transpose.
+    Case("spmm_lazy_transpose", "spmm", ((N, 3),),
+         lambda t, b, r: F.sparse_matmul(b.propagation, t[0])),
+    Case("log_softmax", "log_softmax", ((3, 5),), lambda t, b, r: F.log_softmax(t[0])),
+    Case("dropout", "dropout", ((4, 5),),
+         lambda t, b, r: F.dropout(t[0], 0.4, training=True, rng=r)),
+    Case("spmm_relu", "spmm_act", ((N, 3),), lambda t, b, r: propagate(t[0], b).relu()),
+    Case("spmm_tanh", "spmm_act", ((N, 3),), lambda t, b, r: propagate(t[0], b).tanh()),
+    Case("linear_relu", "linear_relu", ((3, 4), (4, 5), (5,)),
+         lambda t, b, r: (t[0] @ t[1] + t[2]).relu()),
+]
+
+
+def draw(case: Case, seed: int) -> List[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    if case.positive:
+        return [rng.uniform(0.5, 2.0, shape) for shape in case.shapes]
+    return [rng.standard_normal(shape) for shape in case.shapes]
+
+
+def eager(case: Case, values: Sequence[np.ndarray], batch: GraphBatch,
+          rng: np.random.Generator):
+    """Forward + backward with a fixed random seed gradient."""
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+    out = case.fn(leaves, batch, rng)
+    seed = np.random.default_rng(99).standard_normal(out.shape)
+    out.backward(seed)
+    return out, seed, out.data.copy(), [leaf.grad.copy() for leaf in leaves], leaves
+
+
+def assert_bit_exact(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)  # repro: allow[float-equality] — bit-exactness is the contract under test
+
+
+def test_every_table_entry_has_a_case():
+    assert {case.kind for case in CASES} == set(OPS)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_float64_eager_capture_and_replay_are_bit_exact(case):
+    batch, replay_batch = graph_batch(0), graph_batch(1)
+    rng = np.random.default_rng(7)
+    drawn = rng.bit_generator.state
+    out, seed, expected, expected_grads, leaves = eager(case, draw(case, 1), batch, rng)
+    executor = compile_output(out, batch)
+    assert case.kind in {record.kind for record in executor.records}
+
+    # Capture inputs: the tape must reproduce the eager run exactly
+    # (dropout redraws the same mask from the same generator state).
+    rng.bit_generator.state = drawn
+    for leaf in leaves:
+        leaf.grad = None
+    assert_bit_exact(executor.forward(batch), expected)
+    executor.backward(seed)
+    for leaf, grad in zip(leaves, expected_grads):
+        assert_bit_exact(leaf.grad, grad)
+
+    # Replay: new leaf values (rebinding, as an optimizer step does) and
+    # a new batch of the same signature.
+    values = draw(case, 2)
+    drawn = rng.bit_generator.state
+    _, _, expected, expected_grads, _ = eager(case, values, replay_batch, rng)
+    rng.bit_generator.state = drawn
+    for leaf, value in zip(leaves, values):
+        leaf.data = value.copy()
+        leaf.grad = None
+    assert_bit_exact(executor.forward(replay_batch), expected)
+    executor.backward(seed)
+    for leaf, grad in zip(leaves, expected_grads):
+        assert_bit_exact(leaf.grad, grad)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_float32_inference_within_tolerance(case):
+    batch, replay_batch = graph_batch(0), graph_batch(1)
+    rng = np.random.default_rng(7)
+    drawn = rng.bit_generator.state
+    out, _, expected, _, leaves = eager(case, draw(case, 1), batch, rng)
+    executor = compile_output(out, batch, dtype="float32")
+
+    rng.bit_generator.state = drawn
+    got = executor.forward(batch)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got.astype(np.float64), expected, atol=FLOAT32_ATOL)
+
+    values = draw(case, 2)
+    drawn = rng.bit_generator.state
+    _, _, expected, _, _ = eager(case, values, replay_batch, rng)
+    rng.bit_generator.state = drawn
+    for leaf, value in zip(leaves, values):
+        leaf.data = value.copy()
+    got = executor.forward(replay_batch)
+    np.testing.assert_allclose(got.astype(np.float64), expected, atol=FLOAT32_ATOL)
+
+
+def test_float32_tape_pools_before_relu():
+    batch = graph_batch(0)
+    x = Tensor(np.random.default_rng(3).standard_normal((1, 2, 5, 7)), requires_grad=True)
+    out = F.adaptive_max_pool2d(x.relu(), (3, 3))
+    training = compile_output(out, batch)
+    inference = compile_output(out, batch, dtype="float32")
+    assert [r.kind for r in training.records] == ["relu", "adaptive_max_pool2d"]
+    assert [r.kind for r in inference.records] == ["adaptive_max_pool2d", "relu"]
+    np.testing.assert_allclose(inference.forward(batch), out.data, atol=FLOAT32_ATOL)

@@ -137,6 +137,22 @@ class TestTrainPredict:
         assert main(["predict", "--model-dir", "/nonexistent",
                      listing_file]) == 2
 
+    def test_unreadable_listing_is_reported_and_others_classified(
+        self, tmp_path, listing_file, capsys
+    ):
+        model_dir = str(tmp_path / "model")
+        main(["train", "--dataset", "mskcfg", "--total", "36",
+              "--epochs", "1", "--pooling", "sort_weighted",
+              "--model-dir", model_dir])
+        missing = str(tmp_path / "missing.asm")
+        capsys.readouterr()
+        code = main(["predict", "--model-dir", model_dir, missing,
+                     listing_file])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"FAILED {missing}: No such file or directory" in captured.err
+        assert f"{listing_file}: " in captured.out
+
 
 class TestClassify:
     @pytest.fixture(scope="class")
@@ -188,6 +204,19 @@ class TestClassify:
         captured = capsys.readouterr()
         assert "[parse]" in captured.err
         # The good neighbor was still classified.
+        assert "confidence" in captured.out
+
+    def test_unreadable_listing_is_reported_and_others_classified(
+        self, published, listing_file, tmp_path, capsys
+    ):
+        registry, _ = published
+        missing = str(tmp_path / "missing.asm")
+        capsys.readouterr()
+        code = main(["classify", "--registry", registry, "--model", "demo",
+                     missing, listing_file])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"FAILED {missing}: No such file or directory" in captured.err
         assert "confidence" in captured.out
 
     def test_oversize_guard(self, published, listing_file, capsys):
