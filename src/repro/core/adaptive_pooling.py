@@ -16,14 +16,39 @@ distribution.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, apply_op
+
+
+def conv2d_adaptive_max_pool(
+    z_all: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    output_grid: Tuple[int, int],
+    boundaries: Sequence[int],
+) -> Tensor:
+    """Conv2D over each graph's ``(n, C)`` image, then adaptive max pooling.
+
+    ``(N, C) -> (B, c, H, W)``: graph ``b`` owns rows
+    ``boundaries[b]:boundaries[b + 1]`` of ``z_all`` and is convolved as
+    its own one-channel image (``weight`` is ``(c, 1, kh, kw)`` with odd
+    kernel sides, zero "same" padding) and pooled to the ``output_grid``
+    (Figure 6).  One op-table entry runs the whole batch.  The ReLU the
+    paper applies to the conv map commutes with the max, so the caller
+    applies it to the pooled grid instead.
+    """
+    kh, kw = weight.shape[2], weight.shape[3]
+    if weight.shape[1] != 1 or kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(
+            f"conv2d_adaptive_max_pool needs a (c, 1, odd, odd) weight, got {weight.shape}"
+        )
+    meta = {"grid": tuple(output_grid), "boundaries": tuple(int(b) for b in boundaries)}
+    return apply_op("conv2d_amp", (z_all, weight, bias), meta)
 
 
 class AdaptivePoolingHead(Module):
@@ -54,14 +79,21 @@ class AdaptivePoolingHead(Module):
         self.output_grid = (grid_h, grid_w)
         self.conv = Conv2d(1, channels, kernel_size=3, stride=1, padding=1, rng=rng)
 
-    def forward(self, z_concat: Tensor) -> Tensor:
-        """Pool one graph's ``Z^{1:h}`` to a fixed-size feature volume."""
-        if z_concat.ndim != 2:
+    def forward(self, z: Tensor, boundaries: Optional[Sequence[int]] = None) -> Tensor:
+        """Pool each graph's ``Z^{1:h}`` rows to a fixed-size feature volume.
+
+        ``(N, C) -> (B, channels, H, W)`` over a batch whose graph ``b``
+        owns rows ``boundaries[b]:boundaries[b + 1]``; see
+        :func:`conv2d_adaptive_max_pool`.  Without ``boundaries``, ``z``
+        is one graph and the result ``(channels, H, W)``.
+        """
+        if z.ndim != 2:
             raise ShapeError(
-                f"AdaptivePoolingHead expects (n, C) input, got {z_concat.shape}"
+                f"AdaptivePoolingHead expects (n, C) input, got {z.shape}"
             )
-        n, c = z_concat.shape
-        image = z_concat.reshape(1, 1, n, c)
-        convolved = self.conv(image).relu()
-        pooled = F.adaptive_max_pool2d(convolved, self.output_grid)
-        return pooled.reshape(self.channels, *self.output_grid)
+        single = boundaries is None
+        pooled = conv2d_adaptive_max_pool(
+            z, self.conv.weight, self.conv.bias, self.output_grid,
+            (0, z.shape[0]) if single else boundaries,
+        ).relu()
+        return pooled.reshape(self.channels, *self.output_grid) if single else pooled

@@ -20,10 +20,15 @@ All variants share one forward contract: they consume a
 "regardless of how we change the layer configurations ... the model's
 output is always the prediction of the observed input" (Section IV-B).
 
-Graph convolutions always run over the block-diagonal sparse merge of
-the batch (one sparse matmul per layer).  The dense per-graph loop
-survives only as :meth:`DgcnnBase.forward_reference`, the reference
-implementation that the equivalence tests compare against; the old
+A forward is ``classify(embed_batch(z_all, boundaries))``, and every
+stage runs once per batch.  Graph convolutions run over the
+block-diagonal sparse merge of the batch (one sparse matmul per
+layer), and each pooling-head stage is one op over all of the batch's
+graphs (SortPooling, the fused Conv2D + adaptive max pooling), never a
+loop over them.  :meth:`DgcnnBase.embed_from_zconcat` is the one-graph
+case of the same code.  The dense per-graph loop survives only as
+:meth:`DgcnnBase.forward_reference`, the reference implementation that
+the equivalence tests compare against; the old
 ``ModelConfig.use_batched_propagation`` opt-in flag is retired (a
 deprecation shim still accepts — and ignores — it).
 """
@@ -147,9 +152,10 @@ class DgcnnBase(Module):
 
     The forward contract is batch-first: ``forward`` consumes one
     :class:`~repro.core.batched.GraphBatch` (raw ACFG sequences are
-    collated on the fly) and runs the graph convolutions once over the
-    merged batch.  :meth:`forward_reference` keeps the dense per-graph
-    loop alive purely as the ground truth for equivalence tests.
+    collated on the fly) and runs the graph convolutions and the
+    pooling head once over the merged batch.  :meth:`forward_reference`
+    keeps the dense per-graph loop alive purely as the ground truth for
+    equivalence tests.
     """
 
     #: Collate layers (e.g. ``Trainer``) check this to know they may hand
@@ -192,11 +198,23 @@ class DgcnnBase(Module):
             raise ConfigurationError("forward() on an empty batch")
         return self.collate(batch)
 
-    # -- per-graph fixed-size representation (architecture-specific) ----
+    # -- fixed-size representation (architecture-specific) -------------
+
+    def embed_batch(self, z_all: Tensor, boundaries: Sequence[int]) -> Tensor:
+        """Pool every graph's ``Z^{1:h}`` rows to flat embeddings ``(B, D)``.
+
+        Graph ``b`` owns rows ``boundaries[b]:boundaries[b + 1]`` of
+        ``z_all``; each pooling-head stage runs once over the batch.
+        """
+        raise NotImplementedError
 
     def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
-        """Pool one graph's ``Z^{1:h}`` to its flat fixed-size embedding."""
-        raise NotImplementedError
+        """Pool one graph's ``Z^{1:h}`` to its flat fixed-size embedding.
+
+        The one-graph case of :meth:`embed_batch`.
+        """
+        embeddings = self.embed_batch(z_concat, (0, z_concat.shape[0]))
+        return embeddings.reshape(embeddings.shape[1])
 
     def embed_graph(self, acfg: ACFG) -> Tensor:
         """Fixed-size representation of one graph (flattened to 1-D)."""
@@ -207,17 +225,14 @@ class DgcnnBase(Module):
 
         The graph convolutions run once over the whole batch via the
         block-diagonal sparse propagation operator
-        (:mod:`repro.core.batched`); raw ACFG sequences are collated
-        first.  Numerically equivalent to :meth:`forward_reference`
-        (``tests/core/test_batched.py``).
+        (:mod:`repro.core.batched`), and so does each stage of the
+        pooling head (:meth:`embed_batch`); raw ACFG sequences are
+        collated first.  Numerically equivalent to
+        :meth:`forward_reference` (``tests/core/test_batched.py``).
         """
         graph_batch = self._coerce(batch)
         z_all = self.graph_convs.forward_batch(graph_batch)
-        embeddings = [
-            self.embed_from_zconcat(z_slice)
-            for z_slice in graph_batch.split(z_all)
-        ]
-        return self.classify(stack(embeddings, axis=0))
+        return self.classify(self.embed_batch(z_all, graph_batch.boundaries))
 
     def forward_reference(self, batch: Sequence[ACFG]) -> Tensor:
         """Per-graph dense reference path (equivalence testing only).
@@ -278,10 +293,12 @@ class _MlpHead(Module):
 class DgcnnSortPoolingConv1d(DgcnnBase):
     """SortPooling + the original DGCNN remaining layers (Section III-A-4).
 
-    The sort-pooled ``(k, C)`` tensor is flattened to a length ``k*C``
-    signal; a Conv1D with kernel and stride ``C`` produces one descriptor
-    per retained vertex, followed by max pooling, a second Conv1D, and a
-    dense head.
+    Each graph's sort-pooled ``(k, C)`` tensor is flattened to a length
+    ``k*C`` signal; a Conv1D with kernel and stride ``C`` produces one
+    descriptor per retained vertex, followed by max pooling, a second
+    Conv1D, and a dense head.  The ReLU after the first Conv1D runs after
+    the max pool, which holds the same values (max and ReLU commute) on
+    half as many.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -306,15 +323,15 @@ class DgcnnSortPoolingConv1d(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
-        z_sp = self.sort_pool(z_concat)          # (k, C)
-        k, c = z_sp.shape
-        signal = z_sp.reshape(1, 1, k * c)
-        out = self.conv1(signal).relu()          # (1, ch1, k)
+    def embed_batch(self, z_all: Tensor, boundaries: Sequence[int]) -> Tensor:
+        z_sp = self.sort_pool(z_all, boundaries)  # (B, k, C)
+        graphs, k, c = z_sp.shape
+        signal = z_sp.reshape(graphs, 1, k * c)
+        out = self.conv1(signal)                  # (B, ch1, k)
         if out.shape[-1] >= 2:
             out = F.max_pool1d(out, 2, 2)
-        out = self.conv2(out).relu()             # (1, ch2, L)
-        return out.reshape(self._flat_size)
+        out = self.conv2(out.relu()).relu()       # (B, ch2, L)
+        return out.reshape(graphs, self._flat_size)
 
     def classify(self, embeddings: Tensor) -> Tensor:
         return self.head(embeddings)
@@ -336,9 +353,9 @@ class DgcnnSortPoolingWeightedVertices(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
-        z_sp = self.sort_pool(z_concat)          # (k, C)
-        return self.weighted(z_sp)               # (C,)
+    def embed_batch(self, z_all: Tensor, boundaries: Sequence[int]) -> Tensor:
+        z_sp = self.sort_pool(z_all, boundaries)  # (B, k, C)
+        return self.weighted(z_sp)                # (B, C)
 
     def classify(self, embeddings: Tensor) -> Tensor:
         return self.head(embeddings)
@@ -370,8 +387,9 @@ class DgcnnAdaptivePooling(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
-        return self.amp_head(z_concat).reshape(-1)
+    def embed_batch(self, z_all: Tensor, boundaries: Sequence[int]) -> Tensor:
+        pooled = self.amp_head(z_all, boundaries)  # (B, channels, H, W)
+        return pooled.reshape(pooled.shape[0], -1)
 
     def classify(self, embeddings: Tensor) -> Tensor:
         channels = self.amp_head.channels

@@ -10,7 +10,7 @@ fixed-size ``(k, sum(c_t))`` tensor for any input graph.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,17 +54,20 @@ def resolve_sort_pooling_k(graph_sizes: Sequence[int], ratio: float, minimum: in
     return max(minimum, ordered[index])
 
 
-def sort_pool(z_concat: Tensor, k: int) -> Tensor:
-    """``(n, C) -> (k, C)``: sort rows, truncate or zero-pad to ``k``.
+def sort_pool(z_all: Tensor, k: int, boundaries: Sequence[int]) -> Tensor:
+    """``(N, C) -> (B, k, C)``: sort each graph's rows, truncate or zero-pad to ``k``.
 
-    A single op-table entry (rather than gather + pad chained), so the
-    tape replays it as one kernel that recomputes the data-dependent
-    permutation per batch.  The permutation is computed from forward
-    values and treated as a constant in backprop; gradients flow
+    Graph ``b`` owns rows ``boundaries[b]:boundaries[b + 1]`` of ``z_all``
+    and is sorted by :func:`sort_vertex_order`.  One op-table entry runs
+    the whole batch, so the tape replays it as one kernel that recomputes
+    the data-dependent order per batch.  The order is computed from
+    forward values and treated as a constant in backprop; gradients flow
     through the row selection.
     """
-    z_concat = Tensor._coerce(z_concat)
-    return apply_op("sort_pool", (z_concat,), {"k": k, "order_fn": sort_vertex_order})
+    z_all = Tensor._coerce(z_all)
+    return apply_op(
+        "sort_pool", (z_all,), {"k": k, "boundaries": tuple(int(b) for b in boundaries)}
+    )
 
 
 class SortPooling(Module):
@@ -76,6 +79,11 @@ class SortPooling(Module):
             raise ConfigurationError(f"sort pooling k must be >= 1, got {k}")
         self.k = k
 
-    def forward(self, z_concat: Tensor) -> Tensor:
-        """``(n, C) -> (k, C)`` for any ``n``; see :func:`sort_pool`."""
-        return sort_pool(z_concat, self.k)
+    def forward(self, z: Tensor, boundaries: Optional[Sequence[int]] = None) -> Tensor:
+        """``(N, C) -> (B, k, C)`` over a batch; see :func:`sort_pool`.
+
+        Without ``boundaries``, ``z`` is one graph and the result ``(k, C)``.
+        """
+        if boundaries is not None:
+            return sort_pool(z, self.k, boundaries)
+        return sort_pool(z, self.k, (0, z.shape[0])).reshape(self.k, z.shape[1])

@@ -57,12 +57,15 @@ class WeightedVertices(Module):
         )
 
     def forward(self, z_sp: Tensor) -> Tensor:
-        """``(k, C) -> (C,)`` graph embedding via Equation (3)."""
-        if z_sp.ndim != 2 or z_sp.shape[0] != self.k:
+        """``(k, C) -> (C,)`` graph embedding via Equation (3).
+
+        A batch ``(B, k, C)`` gives ``(B, C)``, one embedding per graph.
+        """
+        if z_sp.ndim not in (2, 3) or z_sp.shape[-2] != self.k:
             raise ShapeError(
-                f"WeightedVertices expects ({self.k}, C) input, got {z_sp.shape}"
+                f"WeightedVertices expects ([B,] {self.k}, C) input, got {z_sp.shape}"
             )
-        embedding = (self.weight @ z_sp).reshape(z_sp.shape[1])
+        embedding = (self.weight @ z_sp).reshape(*z_sp.shape[:-2], z_sp.shape[-1])
         if self.activation == "relu":
             return embedding.relu()
         return embedding.tanh()

@@ -35,7 +35,7 @@ argmaxes no backward will read.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -220,8 +220,10 @@ def _matmul_bwd(g, ins, out, meta, state, need):
     g2 = g[None, ...] if a.ndim == 1 else g
     if b.ndim == 1:
         g2 = g2[..., None]
-    grad_a = (g2 @ b2.swapaxes(-1, -2)).reshape(a.shape)
-    grad_b = (a2.swapaxes(-1, -2) @ g2).reshape(b.shape)
+    # A batched operand broadcasts against a 2-D one: sum the broadcast
+    # dimensions back out of the other's gradient.
+    grad_a = _unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape)
+    grad_b = _unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape).reshape(b.shape)
     return (grad_a, grad_b)
 
 
@@ -474,11 +476,14 @@ def _conv2d_fwd(ins, out, meta, state):
         padded[:, :, ph : ph + height, pw : pw + width] = x
         x = padded
     cols = _saved(state, "cols", (n, c_in * kh * kw, h_out * w_out), x.dtype)
-    s0, s1, s2, s3 = x.strides
-    patches = as_strided(
-        x, (n, c_in, kh, kw, h_out, w_out), (s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False,
-    )
+    source, patches = state.get("patches", (None, None))
+    if source is not x:  # a workspace's padded input keeps its window view
+        s0, s1, s2, s3 = x.strides
+        patches = as_strided(
+            x, (n, c_in, kh, kw, h_out, w_out), (s0, s1, s2, s3, s2 * sh, s3 * sw),
+            writeable=False,
+        )
+        state["patches"] = (x, patches)
     np.copyto(cols.reshape(patches.shape), patches)
     if out is None:
         out = np.empty((n, w.shape[0], h_out, w_out), x.dtype)
@@ -588,23 +593,225 @@ def _max_pool_bwd(g, ins, out, meta, state, need):
     return (grad_x,)
 
 
+# ----------------------------------------------------------------------
+# batched pooling heads: one op over every graph of a batch.  ``meta``
+# carries the batch's ``boundaries`` (graph ``b`` owns input rows
+# ``boundaries[b]:boundaries[b + 1]``).  They are part of the tape's
+# batch signature, so a node derives its layout from them only once.
+
+
+def _sort_order(x: np.ndarray, graph: np.ndarray) -> np.ndarray:
+    """Every graph's rows in SortPooling order, graph after graph.
+
+    Per graph this is ``np.lexsort`` over all columns, last column
+    primary, descending (``repro.core.sort_pooling.sort_vertex_order``).
+    One lexsort on (graph, last column) orders the whole batch; only the
+    rows whose last column ties another row of their graph are re-sorted
+    on the full key.  ``np.lexsort`` sorts NaN last and keeps NaNs in
+    input order, so two NaN keys count as a tie.
+    """
+    primary = -x[:, -1]
+    order = np.lexsort((primary, graph))
+    key = primary[order]
+    tie = graph[order[1:]] == graph[order[:-1]]
+    tie &= (key[1:] == key[:-1]) | (np.isnan(key[1:]) & np.isnan(key[:-1]))
+    if not tie.any():
+        return order
+    # The sorted positions inside a tied run, and a run id keeping runs
+    # apart.  Within a run the rows are in input order, so the stable
+    # full-key sort breaks complete ties by input order, as per graph.
+    tied_to_previous = np.concatenate(([False], tie))
+    positions = np.flatnonzero(tied_to_previous | np.concatenate((tie, [False])))
+    run = np.cumsum(~tied_to_previous[positions])
+    rows = order[positions]
+    order[positions] = rows[np.lexsort((*(-x[rows, :-1].T), run))]
+    return order
+
+
+def _sort_pool_plan(meta: Dict[str, Any], state: Dict[str, Any]):
+    """``(graph of each row, sorted positions kept, their output rows)``."""
+    plan = state.get("sort_plan")
+    if plan is None:
+        bounds = np.asarray(meta["boundaries"], dtype=np.int64)
+        k, sizes = meta["k"], np.diff(bounds)
+        counts = np.minimum(sizes, k)
+        graph = np.repeat(np.arange(counts.size), counts)
+        rank = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        plan = (np.repeat(np.arange(sizes.size), sizes), bounds[graph] + rank, graph * k + rank)
+        state["sort_plan"] = plan
+    return plan
+
+
 def _sort_pool_fwd(ins, out, meta, state):
+    """``(N, C) -> (B, k, C)``: each graph's first ``k`` sorted rows, zero-padded."""
     x = ins[0]
-    k = meta["k"]
-    order = state["order"] = meta["order_fn"](x)
-    m = min(x.shape[0], k)
+    graph, kept, slots = _sort_pool_plan(meta, state)
+    rows = state["rows"] = _sort_order(x, graph)[kept]
     if out is None:
-        out = np.empty((k, x.shape[1]), x.dtype)
-    out[m:] = 0.0
-    np.take(x, order[:m], axis=0, out=out[:m])
+        out = np.empty((len(meta["boundaries"]) - 1, meta["k"], x.shape[1]), x.dtype)
+    flat = out.reshape(-1, x.shape[1])
+    if slots.size < flat.shape[0]:
+        flat.fill(0.0)
+    flat[slots] = x[rows]
     return out
 
 
 def _sort_pool_bwd(g, ins, out, meta, state, need):
-    m = min(ins[0].shape[0], meta["k"])
-    full = _zeroed(state, "sort_pool_g", ins[0].shape)
-    np.add.at(full, state["order"][:m], g[:m])
-    return (full,)
+    _, _, slots = _sort_pool_plan(meta, state)
+    grad = _zeroed(state, "sort_pool_g", ins[0].shape)
+    grad[state["rows"]] = g.reshape(-1, g.shape[-1])[slots]  # no row is kept twice
+    return (grad,)
+
+
+class _AmpPlan(NamedTuple):
+    """Where a batch's graphs and pooling windows sit in the conv map."""
+
+    pad: Tuple[int, int]
+    graph_rows: List[Tuple[int, int, int]]  # (first row, end row, image row)
+    map_rows: int                            # rows of the conv map
+    col_windows: List[Tuple[int, int]]
+    window_rows: np.ndarray  # conv-map rows of every row window, concatenated
+    window_starts: np.ndarray
+    window_of: np.ndarray    # the row window each ``window_rows`` entry is in
+
+
+def _amp_plan(x: np.ndarray, w: np.ndarray, meta: Dict[str, Any],
+              state: Dict[str, Any]) -> _AmpPlan:
+    """The batch image's layout, computed once per node.
+
+    The graphs are stacked into one single-channel image with ``ph``
+    zero rows above each graph and below the last, so no ``kh x kw``
+    window of one graph reaches a row of another.  Conv map row ``r`` is
+    centred on image row ``r + ph``; the rows between graphs are
+    computed and never pooled.
+    """
+    plan = state.get("amp_plan")
+    if plan is not None:
+        return plan
+    bounds = meta["boundaries"]
+    (grid_h, grid_w), width = meta["grid"], x.shape[1]
+    ph, pw = w.shape[2] // 2, w.shape[3] // 2
+    graphs = len(bounds) - 1
+    # Graph b's row 0 is conv map row bounds[b] + ph * b.
+    spans = [
+        (bounds[b] + ph * b + h0, bounds[b] + ph * b + h1)
+        for b in range(graphs)
+        for h0, h1 in (
+            adaptive_window_bounds(bounds[b + 1] - bounds[b], grid_h, oh) for oh in range(grid_h)
+        )
+    ]
+    lengths = np.array([h1 - h0 for h0, h1 in spans])
+    plan = state["amp_plan"] = _AmpPlan(
+        pad=(ph, pw),
+        graph_rows=[(bounds[b], bounds[b + 1], bounds[b] + ph * (b + 1)) for b in range(graphs)],
+        map_rows=bounds[-1] + ph * (graphs - 1),
+        col_windows=[adaptive_window_bounds(width, grid_w, ow) for ow in range(grid_w)],
+        window_rows=np.concatenate([np.arange(h0, h1) for h0, h1 in spans]),
+        window_starts=np.cumsum(lengths) - lengths,
+        window_of=np.repeat(np.arange(len(spans)), lengths),
+    )
+    return plan
+
+
+def _conv2d_amp_fwd(ins, out, meta, state):
+    """Conv2D (one input channel, same padding) then adaptive max pooling.
+
+    ``(N, C)`` rows of ``B`` graphs -> ``(B, c, H, W)``, each graph pooled
+    over its own rows.  The image is stored transposed and the conv map
+    as ``(column, row, channel)``, so both pooling stages reduce over
+    long runs of contiguous memory: first over each column window, for
+    every row, then over each graph's row windows.  The conv runs the
+    ``conv2d`` arithmetic (a matmul over im2col columns, here one per
+    column window) except that the bias is added to the column maxima:
+    rounding is monotone, so ``max(v) + b == max(v + b)`` exactly.  Every
+    pooled value equals the per-graph ``conv2d`` -> ReLU ->
+    ``adaptive_max_pool2d`` output bit for bit (``tests/nn/test_ops.py``).
+
+    A backward reads one cell per pooled value: the window's first
+    row-major argmax, found from the pooled value and saved as its
+    ``(map row, column)``.
+    """
+    x, w, b = ins
+    plan = _amp_plan(x, w, meta, state)
+    (ph, pw), rows = plan.pad, plan.map_rows
+    channels, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    width = x.shape[1]
+    image = state.get("image")
+    if image is None:  # only graph rows are written: the padding stays zero
+        image = state["image"] = np.zeros((width + 2 * pw, rows + 2 * ph), x.dtype)
+        s_col, s_row = image.strides
+        state["patches"] = as_strided(
+            image, (kh, kw, width, rows), (s_row, s_col, s_col, s_row), writeable=False
+        )
+    for start, end, at in plan.graph_rows:
+        image[pw : pw + width, at : at + end - start] = x[start:end].T
+    # One column window at a time, so its im2col columns and conv map
+    # stay in cache from the copy to the last read.
+    windows, starts = plan.window_rows, plan.window_starts
+    grid_w = len(plan.col_windows)
+    widest = max(w1 - w0 for w0, w1 in plan.col_windows)
+    cols = _scratch(state, "cols", (kh * kw, widest * rows), x.dtype)
+    conv_map = _scratch(state, "conv", (widest, rows, channels), x.dtype)
+    col_max = _scratch(state, "col_max", (rows, channels), x.dtype)
+    gathered = _scratch(state, "gathered", (windows.size, channels), x.dtype)
+    pooled = _scratch(state, "pooled", (grid_w, starts.size, channels), x.dtype)
+    differentiable = _differentiable(state)
+    if differentiable:
+        best_rows = _saved(state, "best_rows", pooled.shape, np.int64)
+        best_cols = _saved(state, "best_cols", pooled.shape, np.int64)
+    weight_t = w.reshape(channels, -1).T
+    for ow, (w0, w1) in enumerate(plan.col_windows):
+        window_cols = cols[:, : (w1 - w0) * rows]
+        np.copyto(window_cols.reshape(kh, kw, w1 - w0, rows), state["patches"][:, :, w0:w1])
+        conv = conv_map[: w1 - w0]
+        np.matmul(window_cols.T, weight_t, out=conv.reshape(-1, channels))
+        np.maximum.reduce(conv, axis=0, out=col_max)
+        np.add(col_max, b, out=col_max)
+        np.take(col_max, windows, axis=0, out=gathered)
+        np.maximum.reduceat(gathered, starts, axis=0, out=pooled[ow])
+        if differentiable:
+            # The first row of each row window holding its max in this
+            # column window (or, as argmax has it, a NaN)...
+            hit = np.equal(gathered, pooled[ow][plan.window_of])
+            hit |= np.isnan(gathered)
+            first = np.where(hit, np.arange(windows.size)[:, None], windows.size)
+            np.take(windows, np.minimum.reduceat(first, starts, axis=0), out=best_rows[ow])
+            # ...then the first column of that row holding it.
+            at = best_rows[ow] * channels + np.arange(channels)
+            segment = np.add(np.take(conv.reshape(w1 - w0, -1), at, axis=1), b)
+            np.add(segment.argmax(axis=0), w0, out=best_cols[ow])
+    graphs, grid_h = len(plan.graph_rows), meta["grid"][0]
+    if out is None:
+        out = np.empty((graphs, channels, grid_h, grid_w), x.dtype)
+    np.copyto(out, pooled.reshape(grid_w, graphs, grid_h, channels).transpose(1, 3, 2, 0))
+    return out
+
+
+def _conv2d_amp_bwd(g, ins, out, meta, state, need):
+    x, w, _ = ins
+    plan = _amp_plan(x, w, meta, state)
+    pw, width = plan.pad[1], x.shape[1]
+    channels, taps = w.shape[0], w.shape[2] * w.shape[3]
+    graphs, _, grid_h, grid_w = g.shape
+    # Pooled gradients in the saved cells' (ow, graph window, channel) layout.
+    g_cells = g.transpose(3, 0, 2, 1).reshape(grid_w, graphs * grid_h, channels)
+    tap_row, tap_col = np.divmod(np.arange(taps), w.shape[3])
+    # Image coordinates of every tap of every saved cell.
+    image = state["image"]
+    at = (state["best_cols"][..., None] + tap_col, state["best_rows"][..., None] + tap_row)
+    grads: List[Optional[np.ndarray]] = [None, None, None]
+    if need[0]:
+        grad_image = _zeroed(state, "amp_g_image", image.shape)
+        np.add.at(grad_image, at, g_cells[..., None] * w.reshape(channels, taps))
+        grad_x = grads[0] = _scratch(state, "amp_gx", x.shape)
+        for start, end, row in plan.graph_rows:
+            grad_x[start:end] = grad_image[pw : pw + width, row : row + end - start].T
+    if need[1]:
+        grad_w = (g_cells[..., None] * image[at]).sum(axis=(0, 1))
+        grads[1] = grad_w.reshape(w.shape)
+    if need[2]:
+        grads[2] = g_cells.sum(axis=(0, 1))
+    return grads
 
 
 # ----------------------------------------------------------------------
@@ -756,6 +963,7 @@ OPS: Dict[str, Op] = {
     "max_pool2d": Op(_max_pool_fwd, _max_pool_bwd),
     "adaptive_max_pool2d": Op(_max_pool_fwd, _max_pool_bwd),
     "sort_pool": Op(_sort_pool_fwd, _sort_pool_bwd),
+    "conv2d_amp": Op(_conv2d_amp_fwd, _conv2d_amp_bwd),
     "spmm": Op(_spmm_fwd, _spmm_bwd),
     "log_softmax": Op(_log_softmax_fwd, _log_softmax_bwd),
     "dropout": Op(_dropout_fwd, _dropout_bwd),

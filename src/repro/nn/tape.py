@@ -64,8 +64,7 @@ both run the same kernels in the same order (verified with
 ``np.array_equal`` in ``tests/nn/test_tape.py`` and, kind by kind, in
 ``tests/nn/test_ops.py``).  float32 execution is a deliberately
 different numeric mode: inference-only, opt-in, documented tolerance.
-With no backward to serve, a float32 tape saves no argmaxes and runs a
-max pool ahead of the ReLU feeding it (:func:`_pool_before_relu`).
+With no backward to serve, a float32 tape saves no argmaxes.
 
 Thread safety: :class:`CompiledModel` serializes capture and replay
 under one lock — arena buffers are shared mutable state.
@@ -232,16 +231,6 @@ def _ref_array(
     return None
 
 
-def _consumer_counts(records: List[TapeRecord], out_index: int) -> Dict[int, int]:
-    """Readers per arena buffer; the program output counts its caller."""
-    consumers = {out_index: 1}
-    for r in records:
-        for tag, val in r.inputs:
-            if tag == "buf":
-                consumers[val] = consumers.get(val, 0) + 1
-    return consumers
-
-
 def _fuse_program(
     records: List[TapeRecord], buffers: List[np.ndarray], out_index: int
 ) -> Tuple[List[TapeRecord], int]:
@@ -252,7 +241,11 @@ def _fuse_program(
     no gradient contribution — ever touches the removed buffers.
     """
     producer = {r.out: i for i, r in enumerate(records)}
-    consumers = _consumer_counts(records, out_index)
+    consumers = {out_index: 1}  # the program output counts its caller
+    for r in records:
+        for tag, val in r.inputs:
+            if tag == "buf":
+                consumers[val] = consumers.get(val, 0) + 1
 
     replaced: Dict[int, TapeRecord] = {}
     skip: set = set()
@@ -298,28 +291,6 @@ def _fuse_program(
         return records, 0
     fused = [replaced.get(j, r) for j, r in enumerate(records) if j not in skip]
     return fused, len(replaced)
-
-
-def _pool_before_relu(records: List[TapeRecord], out_index: int) -> None:
-    """Inference tapes: run a max pool ahead of the ReLU that feeds it.
-
-    Max pooling commutes with a monotone elementwise map, so
-    ``pool(relu(x))`` and ``relu(pool(x))`` hold the same values, and the
-    ReLU then runs in place over the pooled grid instead of the whole
-    feature map.  Training tapes keep the eager order, whose ReLU
-    backward reads the ReLU's own output.
-    """
-    producer = {r.out: i for i, r in enumerate(records)}
-    consumers = _consumer_counts(records, out_index)
-    for j, pool in enumerate(records):
-        tag, src = pool.inputs[0]
-        if pool.kind not in ("max_pool2d", "adaptive_max_pool2d") or tag != "buf":
-            continue
-        i = producer[src]
-        if records[i].kind != "relu" or consumers[src] != 1:
-            continue
-        records[i] = TapeRecord(pool.kind, records[i].inputs, pool.out, pool.meta)
-        records[j] = TapeRecord("relu", (("buf", pool.out),), pool.out)
 
 
 # ----------------------------------------------------------------------
@@ -554,8 +525,6 @@ def compile_output(output: Tensor, batch: Any, dtype: Any = "float64") -> TapeEx
     """Compile one recorded eager forward into a replayable executor."""
     records, buffers, out_index = _record_graph(output, batch)
     records, fused = _fuse_program(records, buffers, out_index)
-    if np.dtype(dtype) == np.float32:
-        _pool_before_relu(records, out_index)
     return TapeExecutor(records, buffers, out_index, batch, dtype=dtype, fused_ops=fused)
 
 

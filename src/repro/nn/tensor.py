@@ -351,8 +351,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def gather_rows(tensor: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows of a 2-D tensor; gradient scatter-adds back.
 
-    Used by SortPooling, where the row permutation is computed from the
-    forward values and treated as constant during backprop.
+    A selection computed from forward values (a SortPooling order, say)
+    is treated as constant during backprop.
     """
     tensor = Tensor._coerce(tensor)
     if tensor.ndim != 2:

@@ -11,6 +11,9 @@ eager output.
 
 Several kinds (``sub``, ``pow``, ``gather``, ...) are reached by no DGCNN
 variant, so this is the only test of their replay path.
+
+The batched pooling heads (``sort_pool``, ``conv2d_amp``) are also
+checked graph by graph against the generic ops they replace.
 """
 
 from typing import Callable, List, NamedTuple, Sequence, Tuple
@@ -18,8 +21,9 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro.core.adaptive_pooling import conv2d_adaptive_max_pool
 from repro.core.batched import GraphBatch
-from repro.core.sort_pooling import sort_pool
+from repro.core.sort_pooling import sort_pool, sort_vertex_order
 from repro.features.acfg import ACFG
 from repro.nn import functional as F
 from repro.nn.ops import OPS
@@ -28,6 +32,11 @@ from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
 FLOAT32_ATOL = 1e-4
 VERTICES = (3, 4)
+#: Graph sizes 2, 7, 1, 4 around k = 4: padded, truncated and exact.
+SORT_K = 4
+SORT_BOUNDS = (0, 2, 9, 10, 14)
+#: Graph sizes 1, 2, 5, 7: every row window of a 3x3 grid overlaps another.
+AMP_BOUNDS = (0, 1, 3, 8, 15)
 
 
 class Case(NamedTuple):
@@ -36,6 +45,7 @@ class Case(NamedTuple):
     shapes: Tuple[Tuple[int, ...], ...]
     fn: Callable[[List[Tensor], GraphBatch, np.random.Generator], Tensor]
     positive: bool = False  # draw inputs from [0.5, 2) (log, div, pow)
+    ties: bool = False  # first input has tied keys and duplicate rows
 
 
 def graph_batch(seed: int) -> GraphBatch:
@@ -63,6 +73,7 @@ CASES = [
     Case("pow", "pow", ((5,),), lambda t, b, r: t[0] ** 3, positive=True),
     Case("matmul", "matmul", ((3, 4), (4, 2)), lambda t, b, r: t[0] @ t[1]),
     Case("matmul_vector", "matmul", ((4,), (4, 2)), lambda t, b, r: t[0] @ t[1]),
+    Case("matmul_broadcast", "matmul", ((1, 4), (3, 4, 5)), lambda t, b, r: t[0] @ t[1]),
     Case("transpose", "transpose", ((2, 3, 4),), lambda t, b, r: t[0].transpose(1, 0, 2)),
     Case("reshape", "reshape", ((2, 6),), lambda t, b, r: t[0].reshape(3, 4)),
     Case("getitem_slice", "getitem", ((5, 3),), lambda t, b, r: t[0][1:4]),
@@ -90,11 +101,18 @@ CASES = [
          lambda t, b, r: F.max_pool2d(t[0], 2)),
     Case("adaptive_max_pool2d", "adaptive_max_pool2d", ((1, 2, 5, 7),),
          lambda t, b, r: F.adaptive_max_pool2d(t[0], (3, 3))),
-    # float32 tapes pool before the ReLU (see test below).
     Case("max_pool2d_of_relu", "max_pool2d", ((2, 2, 4, 6),),
          lambda t, b, r: F.max_pool2d(t[0].relu(), 2)),
-    Case("sort_pool_truncate", "sort_pool", ((6, 4),), lambda t, b, r: sort_pool(t[0], 4)),
-    Case("sort_pool_pad", "sort_pool", ((3, 4),), lambda t, b, r: sort_pool(t[0], 5)),
+    Case("sort_pool_truncate", "sort_pool", ((6, 4),),
+         lambda t, b, r: sort_pool(t[0], 4, (0, 6))),
+    Case("sort_pool_pad", "sort_pool", ((3, 4),), lambda t, b, r: sort_pool(t[0], 5, (0, 3))),
+    Case("sort_pool_batch_ties", "sort_pool", ((SORT_BOUNDS[-1], 3),),
+         lambda t, b, r: sort_pool(t[0], SORT_K, SORT_BOUNDS), ties=True),
+    Case("conv2d_amp", "conv2d_amp", ((6, 5), (2, 1, 3, 3), (2,)),
+         lambda t, b, r: conv2d_adaptive_max_pool(t[0], t[1], t[2], (3, 3), (0, 6))),
+    Case("conv2d_amp_batch_ties", "conv2d_amp", ((AMP_BOUNDS[-1], 5), (2, 1, 3, 3), (2,)),
+         lambda t, b, r: conv2d_adaptive_max_pool(t[0], t[1], t[2], (3, 3), AMP_BOUNDS),
+         ties=True),
     Case("spmm", "spmm", ((N, 3),), lambda t, b, r: propagate(t[0], b)),
     # No transpose passed: the backward transposes lazily, and a replay
     # must still use the replay batch's transpose.
@@ -110,11 +128,21 @@ CASES = [
 ]
 
 
+def tied(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
+    """Small integers, so keys tie, with every third row a duplicate."""
+    values = rng.integers(-2, 3, shape).astype(float)
+    values[1::3] = values[0::3][: len(values[1::3])]
+    return values
+
+
 def draw(case: Case, seed: int) -> List[np.ndarray]:
     rng = np.random.default_rng(seed)
     if case.positive:
         return [rng.uniform(0.5, 2.0, shape) for shape in case.shapes]
-    return [rng.standard_normal(shape) for shape in case.shapes]
+    values = [rng.standard_normal(shape) for shape in case.shapes]
+    if case.ties:
+        values[0] = tied(rng, case.shapes[0])
+    return values
 
 
 def eager(case: Case, values: Sequence[np.ndarray], batch: GraphBatch,
@@ -193,12 +221,98 @@ def test_float32_inference_within_tolerance(case):
     np.testing.assert_allclose(got.astype(np.float64), expected, atol=FLOAT32_ATOL)
 
 
-def test_float32_tape_pools_before_relu():
-    batch = graph_batch(0)
-    x = Tensor(np.random.default_rng(3).standard_normal((1, 2, 5, 7)), requires_grad=True)
-    out = F.adaptive_max_pool2d(x.relu(), (3, 3))
-    training = compile_output(out, batch)
-    inference = compile_output(out, batch, dtype="float32")
-    assert [r.kind for r in training.records] == ["relu", "adaptive_max_pool2d"]
-    assert [r.kind for r in inference.records] == ["adaptive_max_pool2d", "relu"]
-    np.testing.assert_allclose(inference.forward(batch), out.data, atol=FLOAT32_ATOL)
+# ----------------------------------------------------------------------
+# the batched pooling heads against the per-graph generic ops
+
+
+def pooling_inputs(kind: str, n: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal((n, width))
+    if kind == "tied":
+        return tied(rng, (n, width))
+    return np.ones((n, width))  # every interior conv cell ties
+
+
+def assert_grads_close(actual: Sequence[Tensor], expected: Sequence[Tensor]) -> None:
+    for got, want in zip(actual, expected):
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+def leaves_of(values: Sequence[np.ndarray]) -> List[Tensor]:
+    return [Tensor(v.copy(), requires_grad=True) for v in values]
+
+
+@pytest.mark.parametrize("inputs", ["normal", "tied", "constant"])
+def test_sort_pool_matches_per_graph_sort_take_and_pad(inputs):
+    x = pooling_inputs(inputs, SORT_BOUNDS[-1], 3, seed=4)
+    seed = np.random.default_rng(5).standard_normal((len(SORT_BOUNDS) - 1, SORT_K, 3))
+
+    (batched,) = leaves_of([x])
+    out = sort_pool(batched, SORT_K, SORT_BOUNDS)
+    out.backward(seed)
+
+    (reference,) = leaves_of([x])
+    pooled = []
+    for start, end in zip(SORT_BOUNDS[:-1], SORT_BOUNDS[1:]):
+        rows = reference[start:end]
+        order = sort_vertex_order(rows.data)[:SORT_K]
+        pooled.append(pad_rows(gather_rows(rows, order), SORT_K))
+    expected = stack(pooled, axis=0)
+    expected.backward(seed)
+
+    assert_bit_exact(out.data, expected.data)
+    assert_grads_close([batched], [reference])
+
+
+def test_sort_pool_orders_nan_keys_like_the_per_graph_sort():
+    x = pooling_inputs("tied", SORT_BOUNDS[-1], 3, seed=6)
+    x[[3, 5, 6, 12], -1] = np.nan
+    x[4, 0] = np.nan
+    k = max(np.diff(SORT_BOUNDS))  # keep every row, NaN keys sort last
+    out = sort_pool(Tensor(x), k, SORT_BOUNDS).data
+    for graph, (start, end) in enumerate(zip(SORT_BOUNDS[:-1], SORT_BOUNDS[1:])):
+        order = sort_vertex_order(x[start:end])
+        np.testing.assert_array_equal(out[graph, : order.size], x[start:end][order])
+
+
+@pytest.mark.parametrize("inputs", ["normal", "tied", "constant"])
+def test_conv2d_amp_matches_per_graph_conv_relu_and_pool(inputs):
+    rng = np.random.default_rng(8)
+    values = [
+        pooling_inputs(inputs, AMP_BOUNDS[-1], 5, seed=7),
+        rng.standard_normal((4, 1, 3, 3)),
+        rng.standard_normal(4),
+    ]
+    seed = np.random.default_rng(9).standard_normal((len(AMP_BOUNDS) - 1, 4, 3, 3))
+
+    fused = leaves_of(values)
+    out = conv2d_adaptive_max_pool(*fused, (3, 3), AMP_BOUNDS).relu()
+    out.backward(seed)
+
+    reference = leaves_of(values)
+    x, weight, bias = reference
+    pooled = []
+    for start, end in zip(AMP_BOUNDS[:-1], AMP_BOUNDS[1:]):
+        image = x[start:end].reshape(1, 1, end - start, 5)
+        convolved = F.conv2d(image, weight, bias, padding=1).relu()
+        pooled.append(F.adaptive_max_pool2d(convolved, (3, 3)).reshape(4, 3, 3))
+    expected = stack(pooled, axis=0)
+    expected.backward(seed)
+
+    assert_bit_exact(out.data, expected.data)
+    assert_grads_close(fused, reference)
+
+
+def test_conv2d_amp_pools_nan_like_the_per_graph_pool():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((AMP_BOUNDS[-1], 5))
+    x[[0, 4, 12], [2, 0, 4]] = np.nan
+    weight, bias = Tensor(rng.standard_normal((2, 1, 3, 3))), Tensor(rng.standard_normal(2))
+    fused = conv2d_adaptive_max_pool(Tensor(x, requires_grad=True), weight, bias, (3, 3), AMP_BOUNDS)
+    fused.backward(np.ones(fused.shape))
+    for graph, (start, end) in enumerate(zip(AMP_BOUNDS[:-1], AMP_BOUNDS[1:])):
+        image = Tensor(x[start:end].reshape(1, 1, end - start, 5))
+        convolved = F.conv2d(image, weight, bias, padding=1)
+        expected = F.adaptive_max_pool2d(convolved, (3, 3)).data[0]
+        np.testing.assert_array_equal(fused.data[graph], expected)
