@@ -14,10 +14,10 @@ story true:
   the single pragma'd raw ``open``.
 * rename-into-place (``os.rename`` / ``os.replace`` / ``shutil.move``)
   is the swap primitive of the managed cache/registry roots, so it is
-  reserved to the registered staged-swap modules
-  (``repro/datasets/cache.py``, ``repro/serve/registry.py``,
-  ``repro/fileio.py``).  A worker performing a local temp-file swap it
-  owns outright documents that with a pragma.
+  reserved to the one staged-swap module, ``repro/fileio.py``, whose
+  ``staged_directory`` both the dataset cache and the registry publish
+  through.  A worker performing a local temp-file swap it owns outright
+  documents that with a pragma.
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ from repro.analysis.engine import (
 )
 
 #: Modules allowed to rename artifacts into place (suffix match on slug).
-STAGED_SWAP_MODULES = (
-    "repro/datasets/cache.py",
-    "repro/serve/registry.py",
-    "repro/fileio.py",
-)
+STAGED_SWAP_MODULES = ("repro/fileio.py",)
 
 SWAP_CALLS = frozenset({("os", "rename"), ("os", "replace"), ("shutil", "move")})
 
@@ -68,7 +64,7 @@ class AtomicWriteRule(Rule):
     description = (
         "open()-for-write must be context-managed (or use the crash-safe "
         "journal helper); rename-into-place is reserved to the staged-swap "
-        "modules"
+        "module, repro.fileio"
     )
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
@@ -107,10 +103,9 @@ class AtomicWriteRule(Rule):
                         module,
                         node,
                         f"`{'.'.join(chain)}()` renames into place outside "
-                        "the registered staged-swap modules "
-                        "(repro.datasets.cache / repro.serve.registry); go "
-                        "through those helpers, or pragma a worker-owned "
-                        "temp-file swap",
+                        "the staged-swap module (repro.fileio); publish "
+                        "through repro.fileio.staged_directory, or pragma a "
+                        "worker-owned temp-file swap",
                     )
                 )
         return findings

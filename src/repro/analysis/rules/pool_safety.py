@@ -1,8 +1,9 @@
 """Rule ``pool-safety`` — nothing unpicklable crosses a process boundary.
 
 ``repro.train.sweep`` fans fold work over a ``ProcessPoolExecutor`` and
-``repro.workers.pool`` spawns supervised worker processes; both pickle
-what they are handed.  Lambdas and locally-defined (nested) functions
+``repro.workers.request`` spawns the supervised worker processes that
+the extraction pool and the serving fleet run on; both pickle what they
+are handed.  Lambdas and locally-defined (nested) functions
 are unpicklable, and the failure is deferred — the pool raises deep
 inside ``concurrent.futures`` at submit time, or worse, only under the
 ``spawn`` start method on another platform.  This rule rejects them at
@@ -14,9 +15,10 @@ review time instead:
 * ``initializer=``/``target=`` arguments of ``ProcessPoolExecutor`` /
   ``multiprocessing.Process`` construction;
 * ``WorkerSpec(fn=...)`` registrations in the extraction worker
-  registry (``fn`` is resolved *by name* inside each worker process, so
-  it must be a module-level function; the serialization hooks run in
-  the parent and may stay lambdas).
+  registry (``fn`` is resolved *by name* inside each extraction worker
+  process by ``extraction_service``, so it must be a module-level
+  function; the serialization hooks run in the parent and may stay
+  lambdas).
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class PoolSafetyRule(Rule):
     rule_id = "pool-safety"
     description = (
         "lambdas and locally-defined functions must not cross the "
-        "ProcessPoolExecutor / repro.workers.pool process boundaries"
+        "ProcessPoolExecutor / repro.workers process boundaries"
     )
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:

@@ -28,16 +28,13 @@ graphs (SortPooling, the fused Conv2D + adaptive max pooling), never a
 loop over them.  :meth:`DgcnnBase.embed_from_zconcat` is the one-graph
 case of the same code.  The dense per-graph loop survives only as
 :meth:`DgcnnBase.forward_reference`, the reference implementation that
-the equivalence tests compare against; the old
-``ModelConfig.use_batched_propagation`` opt-in flag is retired (a
-deprecation shim still accepts — and ignores — it).
+the equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,11 +93,6 @@ class ModelConfig:
         ``False`` for raw ``Â`` (ablation, DESIGN.md §5).
     seed:
         Seed for parameter initialization and dropout.
-    use_batched_propagation:
-        Retired.  Batched sparse propagation is the only production
-        path; the keyword is still accepted (and ignored, with a
-        :class:`DeprecationWarning`) so configs persisted before the
-        batch-first refactor keep loading.
     """
 
     num_attributes: int
@@ -117,18 +109,8 @@ class ModelConfig:
     activation: str = "tanh"
     normalize_propagation: bool = True
     seed: int = 0
-    use_batched_propagation: dataclasses.InitVar[Optional[bool]] = None
 
-    def __post_init__(self, use_batched_propagation: Optional[bool]) -> None:
-        if use_batched_propagation is not None:
-            warnings.warn(
-                "ModelConfig.use_batched_propagation is retired: batched "
-                "sparse propagation is the only production path (the "
-                "per-graph loop survives as DgcnnBase.forward_reference "
-                "for equivalence testing); the flag is ignored",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __post_init__(self) -> None:
         if self.pooling not in POOLING_TYPES:
             raise ConfigurationError(
                 f"pooling must be one of {POOLING_TYPES}, got {self.pooling!r}"

@@ -9,10 +9,11 @@ table and sample order.
 
 A 17-hour artifact deserves crash safety, so writes are atomic: the
 whole corpus is staged in a sibling temp directory and swapped into
-place with directory renames.  A kill mid-save leaves either the old
-cache or the new one, never a torn mix — and saving a smaller corpus
-over a larger one cannot leak stale ``*.acfg`` records, because the
-previous directory is replaced wholesale.  Integrity is checked too:
+place with directory renames (:func:`repro.fileio.staged_directory`).
+A kill mid-save leaves either the old cache or the new one, never a
+torn mix — and saving a smaller corpus over a larger one cannot leak
+stale ``*.acfg`` records, because the previous directory is replaced
+wholesale.  Integrity is checked too:
 ``manifest.json`` carries a ``format_version`` and a per-record sha256,
 verified on load (a corrupt record raises
 :class:`~repro.exceptions.DatasetError` naming the file).  Legacy
@@ -24,8 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 import warnings
 from typing import List
 
@@ -33,6 +32,7 @@ from repro.cfg.serialization import acfg_from_text, acfg_to_text
 from repro.datasets.loader import MalwareDataset
 from repro.exceptions import DatasetError
 from repro.features.acfg import ACFG
+from repro.fileio import staged_directory
 
 _MANIFEST = "manifest.json"
 
@@ -52,11 +52,7 @@ def save_dataset(dataset: MalwareDataset, directory: str) -> None:
     The corpus is staged in a temp directory next to the target and
     renamed into place, replacing any previous cache as a unit.
     """
-    target = os.path.abspath(directory)
-    parent = os.path.dirname(target)
-    os.makedirs(parent, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".tmp-save-", dir=parent)
-    try:
+    with staged_directory(directory, replace=True) as staging:
         records = []
         for index, acfg in enumerate(dataset.acfgs):
             filename = f"{index:06d}.acfg"
@@ -79,20 +75,6 @@ def save_dataset(dataset: MalwareDataset, directory: str) -> None:
         with open(os.path.join(staging, _MANIFEST), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
-
-        if os.path.isdir(target):
-            # A directory cannot be renamed over a non-empty directory,
-            # so retire the old cache first; a crash between the two
-            # renames costs the old cache but never tears the new one.
-            retired = tempfile.mkdtemp(prefix=".tmp-old-", dir=parent)
-            os.rename(target, os.path.join(retired, "cache"))
-            os.rename(staging, target)
-            shutil.rmtree(retired, ignore_errors=True)
-        else:
-            os.rename(staging, target)
-    except BaseException:  # repro: allow[broad-except] — staging cleanup, re-raised
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
 
 
 def _validated_label(record: dict, num_families: int):

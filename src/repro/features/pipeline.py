@@ -293,6 +293,25 @@ def execute_unit(
         )
 
 
+def extraction_service(
+    worker_name: str, worker_ctx: WorkerContext
+) -> Callable[[Tuple[int, Tuple]], Tuple]:
+    """Entrypoint factory run *inside* each extraction worker process.
+
+    Referenced by name (``"repro.features.pipeline:extraction_service"``)
+    so nothing callable crosses the pipe.  The returned handler takes one
+    ``(index, item)`` unit and returns :func:`execute_unit`'s outcome
+    tuple unchanged; the index keys the fault plan.
+    """
+    worker_fn = resolve_worker(worker_name).fn
+
+    def handle(unit: Tuple[int, Tuple]) -> Tuple:
+        index, item = unit
+        return execute_unit(worker_fn, item, index, worker_ctx)
+
+    return handle
+
+
 # ----------------------------------------------------------------------
 # the pipeline
 

@@ -1,4 +1,4 @@
-"""Crash-safe file primitives shared by the JSONL checkpoint journals.
+"""Crash-safe file primitives: journal appends and staged publishes.
 
 The extraction journal (:mod:`repro.features.journal`) and the sweep
 journal (:mod:`repro.train.sweep`) both need the same thing: a
@@ -9,16 +9,21 @@ owner of that pattern — it creates the parent directory, truncates or
 appends as asked, and flushes after every record so the only losable
 data is the torn final line the journal loaders already tolerate.
 
-The raw ``open`` below carries the one ``atomic-write`` pragma in the
-library: every other write goes through a context manager or the
-staged-swap helpers.
+:func:`staged_directory` is the one staged publish the dataset cache
+and the model registry share, so a SIGKILL never publishes a torn
+corpus or a half-written archive.  The raw ``open`` below carries the
+one ``atomic-write`` pragma in the library, and this is the one module
+that rule lets rename into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Any, Dict, Optional, TextIO
+import shutil
+import tempfile
+from typing import Any, Dict, Iterator, Optional, TextIO
 
 
 class JsonlAppendWriter:
@@ -60,3 +65,30 @@ class JsonlAppendWriter:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+@contextlib.contextmanager
+def staged_directory(target: str, replace: bool = False) -> Iterator[str]:
+    """Yield a dot-hidden staging directory beside ``target``; a clean
+    exit renames it to ``target``, a raise removes it.
+
+    ``replace`` retires an existing ``target`` first (a directory cannot
+    be renamed over a non-empty one): a crash between the two renames
+    costs the old directory but never tears the new one.
+    """
+    target = os.path.abspath(target)
+    parent = os.path.dirname(target)
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".tmp-stage-", dir=parent)
+    try:
+        yield staging
+        if replace and os.path.isdir(target):
+            retired = tempfile.mkdtemp(prefix=".tmp-old-", dir=parent)
+            os.rename(target, os.path.join(retired, "old"))
+            os.rename(staging, target)
+            shutil.rmtree(retired, ignore_errors=True)
+        else:
+            os.rename(staging, target)
+    except BaseException:  # repro: allow[broad-except] — staging cleanup, re-raised
+        shutil.rmtree(staging, ignore_errors=True)
+        raise

@@ -23,15 +23,17 @@ tax.  Ties between idle workers break toward the least-served replica.
 
 Failure semantics
 -----------------
-The fleet inherits the extraction pipeline's supervision model: a
-worker that closes its pipe (crash) or blows the per-batch wall-clock
-deadline is SIGKILLed and respawned, and its in-flight requests are
-retried once on another replica.  A request that fails twice gets a
+Supervision is :class:`~repro.workers.request.RequestWorker`'s, the
+same rules the extraction pool runs on: a worker that closes its pipe
+(crash) or blows the per-batch wall-clock deadline is SIGKILLed, and
+the fleet respawns it and retries its in-flight requests once on
+another replica.  A request that fails twice gets a
 structured :class:`ClassificationResult` carrying a ``crash`` /
 ``timeout`` :class:`FailureKind` — exactly the taxonomy batch
 extraction reports, so operators triage serve-time and extract-time
-faults with one vocabulary.  A worker whose *respawn* fails to
-initialize is marked failed and taken out of rotation; when every
+faults with one vocabulary.  A worker whose *respawn* dies, reports an
+init error, or is not ready within ``start_timeout`` is marked failed
+and taken out of rotation (never respawned again); when every
 primary replica is failed, ``submit`` raises
 :class:`~repro.exceptions.ServeError` (HTTP 503) instead of queueing
 into the void.
@@ -63,8 +65,16 @@ from repro.serve.engine import DEFAULT_CACHE_SIZE, ClassificationResult, Inferen
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import read_manifest, resolve_version
 from repro.serve.rollout import SHADOWING, RolloutConfig, RolloutController
-from repro.workers.pool import _TICK_SECONDS
-from repro.workers.request import INIT_ERROR, READY, RequestWorker, WorkerReply
+from repro.workers.request import (
+    _TICK_SECONDS,
+    REPLIED,
+    STARTED,
+    STARTUP_FAILED,
+    TIMED_OUT,
+    RequestWorker,
+    WorkerEvent,
+    WorkerReply,
+)
 
 #: Default wall-clock limit for one worker batch (extraction + forward).
 DEFAULT_BATCH_TIMEOUT = 60.0
@@ -159,18 +169,15 @@ class _FleetRequest:
 class _Replica:
     """One fleet slot: a request worker plus routing state and stats."""
 
-    __slots__ = ("worker", "role", "state", "version", "batch", "batch_id",
-                 "deadline", "served", "batches", "retries", "detail")
+    __slots__ = ("worker", "role", "version", "batch", "served", "batches",
+                 "retries", "detail")
 
-    def __init__(self, worker: RequestWorker, role: str, version: str,
-                 state: str) -> None:
+    def __init__(self, worker: RequestWorker, role: str,
+                 version: str) -> None:
         self.worker = worker
         self.role = role
-        self.state = state
         self.version = version
         self.batch: Optional[List[_FleetRequest]] = None
-        self.batch_id = 0
-        self.deadline: Optional[float] = None
         self.served = 0
         self.batches = 0
         self.retries = 0
@@ -179,6 +186,12 @@ class _Replica:
     @property
     def busy(self) -> bool:
         return self.batch is not None
+
+    @property
+    def state(self) -> str:
+        if self.detail is not None:
+            return FAILED
+        return READY_STATE if self.worker.ready else STARTING
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -410,9 +423,10 @@ class FleetDispatcher:
                 "compiled": self.compiled,
                 "infer_dtype": self.infer_dtype,
             },
+            start_timeout=self.start_timeout,
         )
         worker.start(wait_ready=self.start_timeout)
-        return _Replica(worker, role=role, version=version, state=READY_STATE)
+        return _Replica(worker, role=role, version=version)
 
     # -- request side --------------------------------------------------
 
@@ -607,12 +621,13 @@ class FleetDispatcher:
                 return False
             retired = self._take_retired_locked()
             self._dispatch_locked()  # repro: allow[lock-order] — batch sends under the lock keep queue/replica state consistent; pipe buffers absorb them
-            self._enforce_deadlines_locked()  # repro: allow[lock-order] — respawn under the lock uses timed joins; bounded by design
+            now = time.monotonic()
+            for replica in list(self._replicas):
+                self._settle_locked(replica, replica.worker.expire(now))  # repro: allow[lock-order] — kill and respawn under the lock use timed joins; bounded by design
             conns = {
                 replica.worker.conn: replica
                 for replica in self._replicas
-                if replica.state != FAILED
-                and replica.worker.conn is not None
+                if replica.worker.conn is not None
             }
         for replica in retired:
             replica.worker.stop(kill=False)
@@ -629,7 +644,10 @@ class FleetDispatcher:
                 except OSError:  # pragma: no cover
                     pass
                 continue
-            self._service_replica(conns[obj])
+            replica = conns[obj]
+            event = replica.worker.read()
+            with self._lock:
+                self._settle_locked(replica, event)  # repro: allow[lock-order] — retry/respawn under the lock uses timed joins; bounded by design
         return True
 
     def _take_retired_locked(self) -> List[_Replica]:
@@ -673,7 +691,7 @@ class FleetDispatcher:
         batch_id = self._request_counter
         payload = [(request.name, request.text) for request in batch]
         try:
-            replica.worker.send(batch_id, payload)
+            replica.worker.send(batch_id, payload, timeout=self.batch_timeout)
         except (BrokenPipeError, OSError):
             # Died between batches: the batch goes back uncharged and
             # the replica respawns.
@@ -686,44 +704,34 @@ class FleetDispatcher:
             request.sent_at = now
             request.attempts += 1
         replica.batch = batch
-        replica.batch_id = batch_id
-        if self.batch_timeout is not None:
-            replica.deadline = time.monotonic() + self.batch_timeout
-        else:
-            replica.deadline = None
 
-    def _service_replica(self, replica: _Replica) -> None:
-        """One readable pipe: a reply, a readiness message, or EOF."""
-        try:
-            message = replica.worker.conn.recv()
-        except (EOFError, OSError):
-            with self._lock:
-                self._worker_died_locked(  # repro: allow[lock-order] — retry/respawn under the lock uses timed joins; bounded by design
-                    replica,
-                    FailureKind.CRASH,
-                    "fleet worker process died without reporting",
+    def _settle_locked(self, replica: _Replica,
+                       event: Optional[WorkerEvent]) -> None:
+        """Apply one supervision event from ``replica``'s worker."""
+        if event is None or event.kind == STARTED:
+            return
+        if event.kind == REPLIED:
+            assert event.reply is not None
+            self._deliver_locked(replica, event.reply)
+        elif event.kind == STARTUP_FAILED:
+            replica.detail = event.detail
+            self._fail_pending_if_dead_locked()
+        else:
+            batch, replica.batch = replica.batch, None
+            if batch:
+                detail = (
+                    f"fleet worker killed after exceeding the "
+                    f"{self.batch_timeout}s batch deadline"
+                    if event.kind == TIMED_OUT else event.detail
                 )
-            return
-        if message[0] in (READY, INIT_ERROR):
-            with self._lock:
-                try:
-                    replica.worker.observe_ready(message)  # repro: allow[lock-order] — the pipe is already readable, so the ready recv returns immediately
-                    replica.state = READY_STATE
-                except WorkerStartupError as exc:
-                    replica.state = FAILED
-                    replica.detail = exc.detail
-                    self._fail_pending_if_dead_locked()
-            return
-        reply = WorkerReply.from_message(message)
-        with self._lock:
-            self._deliver_locked(replica, reply)
+                self._retry_or_fail_locked(
+                    replica, batch, FailureKind(event.kind), detail
+                )
+            self._respawn_locked(replica)
 
     def _deliver_locked(self, replica: _Replica, reply: WorkerReply) -> None:
-        if replica.batch is None or reply.request_id != replica.batch_id:
-            return  # stale reply from before a kill/respawn
-        batch = replica.batch
-        replica.batch = None
-        replica.deadline = None
+        batch, replica.batch = replica.batch, None
+        assert batch is not None  # a reply answers the batch in flight
         replica.batches += 1
         replica.served += len(batch)
         now = time.perf_counter()
@@ -799,32 +807,7 @@ class FleetDispatcher:
         else:
             self._rollback_locked()
 
-    # -- supervision ---------------------------------------------------
-
-    def _enforce_deadlines_locked(self) -> None:
-        if self.batch_timeout is None:
-            return
-        now = time.monotonic()
-        for replica in list(self._replicas):
-            if (replica.batch is None or replica.deadline is None
-                    or now < replica.deadline):
-                continue
-            self._worker_died_locked(
-                replica,
-                FailureKind.TIMEOUT,
-                f"fleet worker killed after exceeding the "
-                f"{self.batch_timeout}s batch deadline",
-            )
-
-    def _worker_died_locked(self, replica: _Replica, kind: FailureKind,
-                            detail: str) -> None:
-        """Charge the in-flight batch and respawn (or retire) the slot."""
-        batch = replica.batch
-        replica.batch = None
-        replica.deadline = None
-        if batch:
-            self._retry_or_fail_locked(replica, batch, kind, detail)
-        self._respawn_locked(replica)
+    # -- failure policy ------------------------------------------------
 
     def _retry_or_fail_locked(self, replica: _Replica,
                               batch: List[_FleetRequest],
@@ -866,13 +849,7 @@ class FleetDispatcher:
                 self._replicas.remove(replica)  # repro: allow[lock-discipline] — _locked helper, caller holds self._lock
             replica.worker.stop(kill=True)
             return
-        try:
-            replica.worker.respawn(kill=True, wait_ready=None)
-            replica.state = STARTING
-        except WorkerStartupError as exc:  # pragma: no cover - wait_ready=None
-            replica.state = FAILED
-            replica.detail = exc.detail
-            self._fail_pending_if_dead_locked()
+        replica.worker.respawn()
 
     def _fail_pending_if_dead_locked(self) -> None:
         """Every primary failed: answer queued requests with 503s."""

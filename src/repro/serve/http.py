@@ -146,15 +146,6 @@ class ClassificationServer(ThreadingHTTPServer):
     def port(self) -> int:
         return self.server_address[1]
 
-    # Back-compat accessors for callers written against the PR-4 server.
-    @property
-    def engine(self) -> Optional[InferenceEngine]:
-        return getattr(self.backend, "engine", None)
-
-    @property
-    def batcher(self) -> Optional[MicroBatcher]:
-        return getattr(self.backend, "batcher", None)
-
     def __enter__(self) -> "ClassificationServer":
         self.backend.start()
         return self

@@ -15,12 +15,13 @@ The registry stores each published model as a **versioned archive**::
                             # family table, fitted scaling parameters
 
 Publishing stages the archive in a sibling temp directory and renames it
-into place (the same atomic-swap discipline as the dataset cache), so a
-kill mid-publish never leaves a half-written version.  Loading verifies
-every file's sha256 against the manifest and cross-checks the manifest's
-family table and scaler parameters against the model metadata — a
-tampered or torn archive raises :class:`~repro.exceptions.RegistryError`
-naming the offending file instead of silently serving wrong predictions.
+into place (:func:`repro.fileio.staged_directory`, shared with the
+dataset cache), so a kill mid-publish never leaves a half-written
+version.  Loading verifies every file's sha256 against the manifest and
+cross-checks the manifest's family table and scaler parameters against
+the model metadata — a tampered or torn archive raises
+:class:`~repro.exceptions.RegistryError` naming the offending file
+instead of silently serving wrong predictions.
 
 Plain ``Magic.save`` directories (no ``archive.json``) still load, with
 a warning, mirroring the dataset cache's legacy ``format_version``
@@ -34,13 +35,12 @@ import hashlib
 import json
 import os
 import re
-import shutil
-import tempfile
 import warnings
 from typing import Dict, List, Optional
 
 from repro.core.magic import Magic
 from repro.exceptions import RegistryError
+from repro.fileio import staged_directory
 
 _ARCHIVE_MANIFEST = "archive.json"
 _MODEL_FILES = ("parameters.npz", "magic.json")
@@ -135,9 +135,7 @@ def publish(
             f"archive {name}@{version} already exists at {target}; "
             "archives are immutable — publish a new version instead"
         )
-    os.makedirs(model_dir, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".tmp-publish-", dir=model_dir)
-    try:
+    with staged_directory(target) as staging:
         magic.save(staging)
         manifest = {
             "format_version": ARCHIVE_FORMAT_VERSION,
@@ -159,10 +157,6 @@ def publish(
         with open(os.path.join(staging, _ARCHIVE_MANIFEST), "w",
                   encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2)
-        os.rename(staging, target)
-    except BaseException:  # repro: allow[broad-except] — staging cleanup, re-raised
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
     return ArchiveInfo(name=name, version=version, path=target)
 
 

@@ -3,31 +3,21 @@
 ``concurrent.futures`` pools cannot express the fault model this project
 needs: a thread cannot be cancelled at all, and ``ProcessPoolExecutor``
 cannot kill *one* hung worker without tearing down the whole executor.
-This package owns the supervised-process machinery both halves of the
-system run on:
-
-* :mod:`repro.workers.pool` — the batch-mode
-  :class:`~repro.workers.pool.ProcessWorkerPool` (pipe transport,
-  per-unit wall-clock deadline with SIGKILL+respawn, crash detection
-  via pipe EOF).  The extraction service
-  (:mod:`repro.features.pipeline`) runs on it unchanged.
-* :mod:`repro.workers.request` — the long-lived
-  :class:`~repro.workers.request.RequestWorker` mode: a persistent
-  worker that initializes once (e.g. loads a model replica from the
-  registry), announces readiness, then answers
-  ``(request_id, payload) -> result`` messages until told to stop.
-  The serving fleet (:mod:`repro.serve.fleet`) routes traffic over a
-  set of these.
-
-Both modes resolve worker code by *name* inside the child (a registry
-key for the pool, a ``module:function`` entrypoint for request
-workers), so no callable ever crosses a pipe — the pool-safety
-invariant that keeps fork and spawn platforms equivalent.
+This package owns the one supervisor both halves of the system run on,
+:class:`~repro.workers.request.RequestWorker`, which holds every
+supervision rule (deadline and SIGKILL, crash and startup-failure
+detection, stale replies, respawn).  The batch-mode
+:class:`~repro.workers.pool.ProcessWorkerPool` (extraction) and the
+serving fleet (:mod:`repro.serve.fleet`) are policy loops over it.
+Worker code is resolved by *name* inside the child, so no callable ever
+crosses a pipe — the pool-safety invariant that keeps fork and spawn
+platforms equivalent.
 """
 
 from repro.workers.pool import ProcessWorkerPool
 from repro.workers.request import (
     RequestWorker,
+    WorkerEvent,
     WorkerReply,
     resolve_entrypoint,
 )
@@ -35,6 +25,7 @@ from repro.workers.request import (
 __all__ = [
     "ProcessWorkerPool",
     "RequestWorker",
+    "WorkerEvent",
     "WorkerReply",
     "resolve_entrypoint",
 ]

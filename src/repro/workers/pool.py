@@ -1,39 +1,34 @@
-"""Batch-mode supervised process pool.
+"""Batch-mode extraction pool: a policy loop over request workers.
 
-This module implements the small supervised pool the extraction service
-requires:
+:class:`ProcessWorkerPool` fans a finite batch of extraction units over
+:class:`~repro.workers.request.RequestWorker` children that run
+:func:`repro.features.pipeline.extraction_service`.  Supervision — the
+per-sample deadline and its SIGKILL, crash detection on pipe EOF, the
+stale-reply drop, respawn — is the request worker's; the pool only
+decides what each outcome costs:
 
-* one pipe-connected worker process per slot, each running units pulled
-  from the parent (work units are pickled across the pipe, results come
-  back the same way);
-* a per-sample wall-clock deadline enforced by the parent — a worker
-  that blows its deadline is SIGKILLed, the sample is reported as a
-  structured timeout, and a fresh worker takes the slot;
-* crash detection — a worker that dies without reporting (segfault,
-  ``os._exit``, OOM kill) costs exactly its in-flight sample, reported
-  with the observed exit code.
+* a reply carries ``execute_unit``'s outcome tuple to the callbacks;
+* a unit whose worker blew its deadline is reported as a ``timeout``,
+  one whose worker died as a ``crash`` with the observed exit code, and
+  a fresh worker takes the slot while units remain;
+* a worker that cannot start raises
+  :class:`~repro.exceptions.WorkerStartupError`: no unit can run on it.
 
 The parent applies outcomes through callbacks, so the policy layer
 (journaling, quarantine, report assembly) lives entirely in
-:mod:`repro.features.pipeline`.  The process-lifecycle helpers
-(:func:`pool_context`, :func:`terminate_process`) are shared with the
-long-lived request mode in :mod:`repro.workers.request`.
+:mod:`repro.features.pipeline`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
-from multiprocessing.context import BaseContext
-from multiprocessing.process import BaseProcess
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Deque,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -41,100 +36,22 @@ from typing import (
     cast,
 )
 
+from repro.exceptions import WorkerStartupError
+from repro.workers.request import (
+    _TICK_SECONDS,
+    REPLIED,
+    STARTED,
+    STARTUP_FAILED,
+    TIMED_OUT,
+    RequestWorker,
+    WorkerEvent,
+)
+
 if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
+    from repro.workers.request import PipeConn
 
-    #: Parent/child pipe end; payloads are heterogeneous tuples.
-    PipeConn = Connection[Any, Any]
-
-#: Seconds between deadline sweeps while waiting on worker pipes.
-_TICK_SECONDS = 0.05
-
-#: Grace period for joining a worker that closed its pipe or was killed.
-_JOIN_SECONDS = 5.0
-
-
-def pool_context() -> BaseContext:
-    """The multiprocessing context every supervised worker spawns under.
-
-    ``fork`` when the platform offers it (workers inherit the parent's
-    imports, so a respawn costs milliseconds, which matters when a
-    serving fleet replaces a crashed replica under traffic); the
-    platform default otherwise.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def terminate_process(
-    process: BaseProcess, conn: "PipeConn", kill: bool
-) -> Optional[int]:
-    """Stop a worker process and close its pipe; returns its exit code."""
-    try:
-        if kill and process.is_alive():
-            process.kill()
-        process.join(timeout=_JOIN_SECONDS)
-        if process.is_alive():  # pragma: no cover - last resort
-            process.kill()
-            process.join(timeout=_JOIN_SECONDS)
-        return process.exitcode
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-def _worker_main(conn: "PipeConn", worker_name: str, worker_ctx: Any) -> None:
-    """Worker process body: recv unit, execute, send outcome, repeat.
-
-    Outcomes are produced by :func:`repro.features.pipeline.execute_unit`,
-    which never raises — every exception is already classified into the
-    failure taxonomy inside the worker, so the only unreported deaths are
-    real crashes (which the parent detects via the closed pipe).
-    """
-    from repro.features import pipeline  # deferred: parent imports us
-
-    worker_fn = pipeline.resolve_worker(worker_name).fn  # repro: allow[fault-contract] — a misconfigured worker name is fatal; the parent reports the closed pipe as a crash
-    while True:
-        try:
-            message = conn.recv()  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if message is None:
-            break
-        index, item = message
-        outcome = pipeline.execute_unit(worker_fn, item, index, worker_ctx)
-        try:
-            conn.send((index,) + outcome)
-        except Exception as exc:  # repro: allow[broad-except] — unpicklable result; report, don't die
-            conn.send(  # repro: allow[fault-contract] — last-resort report; a broken pipe here is a crash the parent detects
-                (index, "fail", "unexpected",
-                 f"worker result not transferable: {type(exc).__name__}: {exc}")
-            )
-
-
-class _Slot:
-    """One worker process plus its pipe and in-flight unit, if any."""
-
-    __slots__ = ("process", "conn", "index", "item", "deadline")
-
-    def __init__(self, process: BaseProcess, conn: "PipeConn") -> None:
-        self.process = process
-        self.conn = conn
-        self.index: Optional[int] = None
-        self.item: Any = None
-        self.deadline: Optional[float] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-    def clear(self) -> None:
-        self.index = None
-        self.item = None
-        self.deadline = None
+#: The extraction worker factory each child runs (resolved by name).
+ENTRYPOINT = "repro.features.pipeline:extraction_service"
 
 
 class ProcessWorkerPool:
@@ -166,27 +83,6 @@ class ProcessWorkerPool:
         self.worker_ctx = worker_ctx
         self.max_workers = max_workers
         self.timeout = timeout
-        self._mp = pool_context()
-
-    # -- lifecycle ----------------------------------------------------
-
-    def _spawn(self) -> _Slot:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(child_conn, self.worker_name, self.worker_ctx),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only its end
-        return _Slot(process, parent_conn)
-
-    @staticmethod
-    def _terminate(slot: _Slot, kill: bool) -> Optional[int]:
-        """Stop a slot's process; returns its exit code when known."""
-        return terminate_process(slot.process, slot.conn, kill)
-
-    # -- execution ----------------------------------------------------
 
     def run(
         self,
@@ -202,112 +98,77 @@ class ProcessWorkerPool:
         pending: Deque[Tuple[int, Any]] = deque(units)
         if not pending:
             return
-        slots: List[_Slot] = [
-            self._spawn() for _ in range(min(self.max_workers, len(pending)))
+        workers: List[RequestWorker] = [
+            RequestWorker(
+                f"extract-{self.worker_name}#{slot}",
+                ENTRYPOINT,
+                {"worker_name": self.worker_name,
+                 "worker_ctx": self.worker_ctx},
+            )
+            for slot in range(min(self.max_workers, len(pending)))
         ]
         try:
-            while pending or any(slot.busy for slot in slots):
-                self._dispatch(slots, pending, on_fail)
-                self._collect(slots, pending, on_fail, on_ok)
-                self._enforce_deadlines(slots, pending, on_fail)
+            for worker in workers:
+                worker.start(wait_ready=None)
+            while pending or any(worker.busy for worker in workers):
+                for worker in workers:
+                    if worker.idle and pending:
+                        self._send(worker, pending)
+                conns = {
+                    worker.conn: worker for worker in workers
+                    if worker.conn is not None
+                }
+                for conn in mp_connection.wait(list(conns),
+                                               timeout=_TICK_SECONDS):
+                    worker = conns[cast("PipeConn", conn)]
+                    self._settle(worker, worker.read(), pending,
+                                 on_ok, on_fail)
+                now = time.monotonic()
+                for worker in workers:
+                    self._settle(worker, worker.expire(now), pending,
+                                 on_ok, on_fail)
         finally:
-            for slot in slots:
-                if slot.process.is_alive():
-                    try:
-                        slot.conn.send(None)
-                    except (BrokenPipeError, OSError):
-                        pass
-                self._terminate(slot, kill=False)
+            for worker in workers:
+                worker.stop()
 
-    def _dispatch(
-        self,
-        slots: List[_Slot],
-        pending: "Deque[Tuple[int, Any]]",
-        on_fail: Callable[[int, str, str], None],
-    ) -> None:
-        for position, slot in enumerate(slots):
-            if slot.busy or not pending:
-                continue
-            index, item = pending.popleft()
-            slot.index, slot.item = index, item
-            if self.timeout is not None:
-                slot.deadline = time.monotonic() + self.timeout
-            try:
-                slot.conn.send((index, item))
-            except (BrokenPipeError, OSError):
-                # Worker died between units; its replacement gets the unit.
-                pending.appendleft((index, item))
-                slot.clear()
-                self._terminate(slot, kill=True)
-                slots[position] = self._spawn()
+    def _send(self, worker: RequestWorker,
+              pending: Deque[Tuple[int, Any]]) -> None:
+        index, item = pending.popleft()
+        try:
+            worker.send(index, (index, item), timeout=self.timeout)
+        except (BrokenPipeError, OSError):
+            # Worker died between units; its replacement gets the unit.
+            pending.appendleft((index, item))
+            worker.respawn()
 
-    def _collect(
+    def _settle(
         self,
-        slots: List[_Slot],
-        pending: "Deque[Tuple[int, Any]]",
-        on_fail: Callable[[int, str, str], None],
+        worker: RequestWorker,
+        event: Optional[WorkerEvent],
+        pending: Deque[Tuple[int, Any]],
         on_ok: Callable[[int, Any], None],
+        on_fail: Callable[[int, str, str], None],
     ) -> None:
-        busy: "Dict[PipeConn, _Slot]" = {
-            slot.conn: slot for slot in slots if slot.busy
-        }
-        if not busy:
+        """Charge one supervision event to its unit."""
+        if event is None or event.kind == STARTED:
             return
-        for conn in mp_connection.wait(list(busy), timeout=_TICK_SECONDS):
-            slot = busy[cast("PipeConn", conn)]
-            try:
-                message = slot.conn.recv()
-            except (EOFError, OSError):
-                self._replace_crashed(slots, slot, pending, on_fail)
-                continue
-            index, status, *payload = message
-            if status == "ok":
-                on_ok(index, payload[0])
+        if event.kind == REPLIED:
+            assert event.reply is not None
+            outcome = (event.reply.value if event.reply.ok
+                       else ("fail", "unexpected", event.reply.value))
+            if outcome[0] == "ok":
+                on_ok(event.request_id, outcome[1])
             else:
-                on_fail(index, payload[0], payload[1])
-            slot.clear()
-
-    def _enforce_deadlines(
-        self,
-        slots: List[_Slot],
-        pending: "Deque[Tuple[int, Any]]",
-        on_fail: Callable[[int, str, str], None],
-    ) -> None:
-        if self.timeout is None:
+                on_fail(event.request_id, outcome[1], outcome[2])
             return
-        now = time.monotonic()
-        for position, slot in enumerate(slots):
-            index = slot.index
-            if index is None or slot.deadline is None or now < slot.deadline:
-                continue
-            slot.clear()
-            self._terminate(slot, kill=True)
-            on_fail(
-                index,
-                "timeout",
-                f"killed after exceeding the {self.timeout}s "
-                "per-sample wall-clock limit",
+        if event.kind == STARTUP_FAILED:
+            raise WorkerStartupError(worker.name, event.detail)
+        if event.request_id is not None:
+            detail = (
+                f"killed after exceeding the {self.timeout}s per-sample "
+                "wall-clock limit"
+                if event.kind == TIMED_OUT else event.detail
             )
-            if pending or any(s.busy for s in slots):
-                slots[position] = self._spawn()
-
-    def _replace_crashed(
-        self,
-        slots: List[_Slot],
-        slot: _Slot,
-        pending: "Deque[Tuple[int, Any]]",
-        on_fail: Callable[[int, str, str], None],
-    ) -> None:
-        """A worker died without reporting: charge its in-flight unit."""
-        index = slot.index
-        assert index is not None  # only busy slots are collected
-        slot.clear()
-        exitcode = self._terminate(slot, kill=True)
-        on_fail(
-            index,
-            "crash",
-            f"worker process died without reporting (exit code {exitcode})",
-        )
-        position = slots.index(slot)
-        if pending or any(s.busy for s in slots):
-            slots[position] = self._spawn()
+            on_fail(event.request_id, event.kind, detail)
+        if pending:
+            worker.respawn()

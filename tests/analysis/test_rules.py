@@ -127,10 +127,10 @@ class TestAtomicWrite:
                 os.replace(staging, destination)
             """
         managed = lint_text(
-            source, path="src/repro/datasets/cache.py", select=["atomic-write"]
+            source, path="src/repro/fileio.py", select=["atomic-write"]
         )
         elsewhere = lint_text(
-            source, path="src/repro/features/other.py", select=["atomic-write"]
+            source, path="src/repro/datasets/cache.py", select=["atomic-write"]
         )
         assert managed == []
         assert len(elsewhere) == 1

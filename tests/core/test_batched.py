@@ -162,13 +162,6 @@ class TestModelContract:
         with pytest.raises(ConfigurationError):
             model.forward_reference(batch)
 
-    def test_retired_flag_warns_and_is_ignored(self):
-        with pytest.warns(DeprecationWarning):
-            config = small_config("sort_weighted", use_batched_propagation=False)
-        # The model built from a legacy config still runs the batched path.
-        model = build_model(config)
-        assert model.accepts_graph_batch
-
 
 class TestBatchedEqualsReference:
     """Forward and gradient equivalence, batched vs per-graph reference."""

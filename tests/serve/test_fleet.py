@@ -26,6 +26,16 @@ def fleet(registry_root):
         yield dispatcher
 
 
+def dying_service(**init_kwargs):
+    """Replica factory whose init dies (swapped in to break respawns)."""
+    os._exit(3)
+
+
+def hanging_service(**init_kwargs):
+    """Replica factory whose init never announces ready."""
+    time.sleep(3600)
+
+
 def _hammer(dispatcher, samples, count, results, errors):
     for i in range(count):
         name, text = samples[i % len(samples)]
@@ -212,6 +222,56 @@ class TestSupervision:
         with pytest.raises(WorkerStartupError, match="cache_size"):
             dispatcher.start()
         assert not dispatcher.running
+
+
+class TestFailedRespawn:
+    @pytest.mark.parametrize("entrypoint, detail", [
+        ("tests.serve.test_fleet:dying_service",
+         "process died during init (exit code 3)"),
+        ("tests.serve.test_fleet:hanging_service", "not ready within 5.0s"),
+    ])
+    def test_replica_fails_instead_of_looping_and_503s(
+        self, registry_root, listing_samples, entrypoint, detail
+    ):
+        dispatcher = FleetDispatcher(
+            registry_root, MODEL_NAME, num_workers=1,
+            cache_size=0, start_timeout=5.0,
+        )
+        name, text = listing_samples[0]
+        with dispatcher:
+            replica = dispatcher._replicas[0]
+            replica.worker.entrypoint = entrypoint
+            os.kill(replica.worker.pid, signal.SIGKILL)
+            errors = []
+
+            def queued_submit():
+                try:
+                    dispatcher.submit(text, name=name, timeout=60.0)
+                except ServeError as exc:
+                    errors.append(exc)
+
+            waiter = threading.Thread(target=queued_submit)
+            waiter.start()
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                (worker,) = dispatcher.fleet_snapshot()["workers"]
+                if worker["state"] == "failed":
+                    break
+                time.sleep(0.05)
+            assert worker["state"] == "failed"
+            assert worker["detail"] == detail
+            assert 1 <= worker["respawns"] <= 2
+            # The queued request got the 503 instead of its 60 s timeout.
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            (error,) = errors
+            assert "every fleet worker has failed" in str(error)
+            with pytest.raises(ServeError, match="every fleet worker"):
+                dispatcher.submit(text, name=name, timeout=5.0)
+            time.sleep(0.5)
+            (worker,) = dispatcher.fleet_snapshot()["workers"]
+            assert worker["state"] == "failed"
+            assert worker["respawns"] <= 2  # not respawned again
 
 
 class TestLifecycle:

@@ -3,17 +3,46 @@
 The batch-mode pool keeps its existing coverage under
 ``tests/features/``; these tests pin the request-serving contract the
 fleet dispatcher builds on: resolve-by-name entrypoints, readiness
-announcements, per-request fault reporting, and respawn-in-place.
+announcements, per-request fault reporting, and respawn-in-place —
+and the supervision rules both the fleet and the extraction pool run on:
+deadlines, crash/startup classification, the stale-reply drop.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.exceptions import WorkerError, WorkerStartupError
 from repro.workers import RequestWorker, WorkerReply, resolve_entrypoint
+from repro.workers.request import (
+    CRASHED,
+    REPLIED,
+    STARTED,
+    STARTUP_FAILED,
+    TIMED_OUT,
+)
 
 ECHO = "tests.serve.test_workers:echo_service"
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+REPO_ROOT = os.path.dirname(SRC_DIR)
+
+#: Starts two echo workers, prints their pids, then waits to be killed.
+TWO_WORKERS = """
+import time
+from repro.workers import RequestWorker
+workers = [RequestWorker(f"w{i}", "tests.serve.test_workers:echo_service")
+           for i in range(2)]
+for worker in workers:
+    worker.start(wait_ready=30.0)
+print(" ".join(str(worker.pid) for worker in workers), flush=True)
+time.sleep(3600)
+"""
 
 
 class _Echo:
@@ -27,11 +56,43 @@ class _Echo:
             raise ValueError("boom requested")
         if payload == "die":
             os._exit(23)
+        if payload == "hang":
+            time.sleep(3600)
         return f"{self.prefix}{payload}"
 
 
 def echo_service(prefix: str = ""):
     return _Echo(prefix)
+
+
+def marker_service(marker: str, hang: bool = False):
+    """Echo service whose (re)starts die — or hang — once ``marker`` exists."""
+    if os.path.exists(marker):
+        if hang:
+            time.sleep(3600)
+        os._exit(3)
+    return _Echo("")
+
+
+def exited(pid):
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def next_event(worker, timeout=30.0):
+    """Poll ``worker`` like a dispatcher loop until it yields an event."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        event = worker.expire(time.monotonic())
+        if event is None and worker.conn.poll(0.05):
+            event = worker.read()
+        if event is not None:
+            return event
+    raise AssertionError(f"no event from {worker.name} within {timeout}s")
 
 
 def failing_service():
@@ -139,3 +200,110 @@ class TestRequestWorker:
         worker = RequestWorker("echo", ECHO, {})
         with pytest.raises(WorkerError, match="not started"):
             worker.send(1, "x")
+
+
+class TestSupervision:
+    def test_missed_deadline_kills_and_names_the_request(self):
+        worker = RequestWorker("echo", ECHO, {})
+        worker.start(wait_ready=30.0)
+        try:
+            worker.send(7, "hang", timeout=0.3)
+            assert worker.busy
+            event = next_event(worker)
+            assert event.kind == TIMED_OUT
+            assert event.request_id == 7
+            assert "0.3s" in event.detail
+            assert not worker.alive
+        finally:
+            worker.stop(kill=True)
+
+    def test_crash_carries_the_exit_code_and_the_lost_request(self):
+        worker = RequestWorker("echo", ECHO, {})
+        worker.start(wait_ready=30.0)
+        try:
+            worker.send(5, "die")
+            event = next_event(worker)
+            assert event.kind == CRASHED
+            assert event.request_id == 5
+            assert "exit code 23" in event.detail
+        finally:
+            worker.stop(kill=True)
+
+    def test_stale_reply_is_dropped(self):
+        worker = RequestWorker("echo", ECHO, {})
+        worker.start(wait_ready=30.0)
+        try:
+            worker.send(1, "old")
+            worker.send(2, "new")  # supersedes request 1
+            first = next_event(worker)
+            assert first.kind == REPLIED
+            assert first.request_id == 2 and first.reply.value == "new"
+            assert worker.idle
+        finally:
+            worker.stop()
+
+    @pytest.mark.parametrize("hang, detail", [
+        (False, "process died during init (exit code 3)"),
+        (True, "not ready within 0.5s"),
+    ])
+    def test_failed_respawn_is_a_startup_failure(self, tmp_path, hang,
+                                                 detail):
+        marker = str(tmp_path / "broken")
+        worker = RequestWorker(
+            "marked", "tests.serve.test_workers:marker_service",
+            {"marker": marker, "hang": hang}, start_timeout=0.5,
+        )
+        worker.start(wait_ready=30.0)
+        try:
+            with open(marker, "w"):
+                pass
+            os.kill(worker.pid, signal.SIGKILL)
+            event = next_event(worker)
+            assert event.kind == CRASHED
+            assert event.request_id is None  # it died idle
+            worker.respawn()
+            assert not worker.ready
+            event = next_event(worker)
+            assert event.kind == STARTUP_FAILED
+            assert event.detail == detail
+            assert not worker.alive and worker.conn is None
+            assert worker.respawns == 1
+        finally:
+            worker.stop(kill=True)
+
+    def test_nonblocking_start_announces_ready(self):
+        worker = RequestWorker("echo", ECHO, {})
+        worker.start(wait_ready=None)
+        try:
+            assert not worker.ready and not worker.idle
+            assert next_event(worker).kind == STARTED
+            assert worker.idle
+        finally:
+            worker.stop()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_their_parent_is_killed(self):
+        # Forked siblings hold each other's pipe ends, so the parent's
+        # death is no EOF; the children must notice it themselves.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + REPO_ROOT
+        parent = subprocess.Popen(
+            [sys.executable, "-c", TWO_WORKERS], cwd=REPO_ROOT, env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            os.kill(parent.pid, signal.SIGKILL)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and not all(map(exited, pids)):
+                time.sleep(0.1)
+            assert all(map(exited, pids))
+        finally:
+            for pid in [parent.pid] + pids:
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.wait(timeout=30)
+            parent.stdout.close()
