@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asm.parser import AsmParser
+from repro.asm.parser import AsmParser, _split_operands
 from repro.exceptions import AsmParseError
 
 
@@ -60,6 +60,24 @@ class TestBasicParsing:
         program = AsmParser().parse(".text:00401000 mov eax, [ebp+8]\n")
         assert program[0x401000].operands == ["eax", "[ebp+8]"]
 
+    @given(st.text(alphabet="ab ,()[]{}", max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_operand_split_matches_a_character_walk(self, rest):
+        """Property: splitting by comma piece equals a per-character walk."""
+        operands, depth, current = [], 0, ""
+        for ch in rest:
+            if ch in "([{":
+                depth += 1
+            elif ch in ")]}":
+                depth -= 1
+            if ch == "," and depth == 0:
+                operands.append(current.strip())
+                current = ""
+            else:
+                current += ch
+        operands.append(current.strip())
+        assert _split_operands(rest) == [op for op in operands if op]
+
 
 class TestLabels:
     def test_label_attaches_to_next_instruction(self):
@@ -93,6 +111,11 @@ class TestResolveTarget:
     def test_register_indirect_unresolvable(self):
         assert AsmParser().resolve_target("eax") is None
         assert AsmParser().resolve_target("[ebx+4]") is None
+
+    def test_h_suffixed_target_starts_with_a_digit(self):
+        assert AsmParser().resolve_target("0Ah") == 0x0A
+        assert AsmParser().resolve_target("ah") is None
+        assert AsmParser().resolve_target("dh") is None
 
 
 class TestStrictMode:
