@@ -8,8 +8,9 @@ bench pushes one corpus through three paths —
 
 1. **direct** — ``InferenceEngine.classify_text`` in-process, no service
    machinery at all (the floor any service overhead is measured against);
-2. **single** — the ``--workers 0`` service: one engine behind one
-   coalescing ``MicroBatcher``, driven at the same concurrency;
+2. **single** — the ``--workers 0`` service: one engine on one
+   in-process replica (``FleetDispatcher.in_process``), driven at the
+   same concurrency;
 3. **fleet**  — a ``FleetDispatcher`` over N worker processes, same
    concurrency, same corpus;
 
@@ -38,7 +39,7 @@ import threading
 import time
 from typing import List, Tuple
 
-from repro.serve import FleetDispatcher, MicroBatcher
+from repro.serve import FleetDispatcher
 
 from benchmarks.bench_common import save_result
 from benchmarks.bench_serve_throughput import _smoke_corpus, _train_engine_pair
@@ -91,12 +92,13 @@ def run_bench(
         # Single-process service at its best: coalescing enabled, same
         # offered concurrency as the fleet.  Best of ``repeats`` runs.
         single_seconds = float("inf")
-        with MicroBatcher(service_engine, max_batch_size=max_batch_size,
-                          max_wait_ms=20.0) as batcher:
+        with FleetDispatcher.in_process(
+            service_engine, max_batch_size=max_batch_size
+        ) as single_process:
             for _ in range(repeats):
                 started = time.perf_counter()
                 single = _drain_concurrently(
-                    batcher.submit, samples, concurrency
+                    single_process.submit, samples, concurrency
                 )
                 single_seconds = min(
                     single_seconds, time.perf_counter() - started

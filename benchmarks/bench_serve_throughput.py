@@ -1,14 +1,15 @@
-"""Serving layer: micro-batched throughput vs one-request-at-a-time.
+"""Serving layer: batched throughput vs one-request-at-a-time.
 
 Engineering benchmark behind the online classification service
 (``repro.serve``).  The batched forward path (PR 1) makes a 32-graph
 ``GraphBatch`` barely more expensive than a single graph, but an online
-service receives requests one at a time; the ``MicroBatcher`` coalesces
-concurrent requests so they share one forward pass.  This bench pushes
-the same corpus through the service twice — sequential single-request
-submits (every batch has size 1) and concurrent submits under a
-coalescing window — *verifies both paths produce identical labels*, and
-persists the measurement to ``output/BENCH_serve.json``.
+service receives requests one at a time; the dispatcher coalesces the
+requests that queue up behind a running batch so they share the next
+forward pass.  This bench pushes the same corpus through the
+``--workers 0`` service (``FleetDispatcher.in_process``) twice —
+sequential submits capped at one request per batch, and concurrent
+submits — *verifies both paths produce identical labels*, and persists
+the measurement to ``output/BENCH_serve.json``.
 
 The win comes from amortizing per-forward overhead across the batch, so
 it grows with concurrency; the artifact records ``cpu_count`` and the
@@ -36,7 +37,7 @@ from repro.core import Magic, ModelConfig
 from repro.datasets import generate_mskcfg_dataset
 from repro.datasets.mskcfg import MSKCFG_PROFILES
 from repro.datasets.synthetic_asm import generate_family_listing
-from repro.serve import InferenceEngine, MicroBatcher, publish
+from repro.serve import FleetDispatcher, InferenceEngine, publish
 from repro.train import TrainingConfig
 
 from benchmarks.bench_common import save_result
@@ -98,7 +99,8 @@ def _train_engine_pair(tmp_root: str, seed: int) -> Tuple[InferenceEngine, Infer
 
 
 def _submit_concurrently(
-    batcher: MicroBatcher, samples: List[Tuple[str, str]], concurrency: int
+    dispatcher: FleetDispatcher, samples: List[Tuple[str, str]],
+    concurrency: int,
 ) -> List:
     """``concurrency`` submitter threads drain a shared work list."""
     results = [None] * len(samples)
@@ -113,7 +115,7 @@ def _submit_concurrently(
                     return
                 cursor["next"] = index + 1
             name, text = samples[index]
-            results[index] = batcher.submit(text, name=name, timeout=120.0)
+            results[index] = dispatcher.submit(text, name=name, timeout=120.0)
 
     threads = [threading.Thread(target=worker) for _ in range(concurrency)]
     for thread in threads:
@@ -127,7 +129,6 @@ def run_bench(
     corpus: int = 48,
     concurrency: int = 8,
     max_batch_size: int = 8,
-    max_wait_ms: float = 20.0,
     repeats: int = 3,
     seed: int = 3,
 ) -> dict:
@@ -142,40 +143,42 @@ def run_bench(
         # submits, every forward carries exactly one graph.  Best of
         # ``repeats`` runs, so scheduler noise cannot flip the verdict.
         singles_seconds = float("inf")
-        with MicroBatcher(single_engine, max_batch_size=1,
-                          max_wait_ms=0.0) as batcher:
+        with FleetDispatcher.in_process(
+            single_engine, max_batch_size=1
+        ) as dispatcher:
             for _ in range(repeats):
                 started = time.perf_counter()
                 singles = [
-                    batcher.submit(text, name=name, timeout=120.0)
+                    dispatcher.submit(text, name=name, timeout=120.0)
                     for name, text in samples
                 ]
                 singles_seconds = min(
                     singles_seconds, time.perf_counter() - started
                 )
 
-        # Micro-batched: concurrent submitters, coalescing window open.
+        # Batched: concurrent submitters queue behind the running batch.
         batched_seconds = float("inf")
-        with MicroBatcher(batched_engine, max_batch_size=max_batch_size,
-                          max_wait_ms=max_wait_ms) as batcher:
+        with FleetDispatcher.in_process(
+            batched_engine, max_batch_size=max_batch_size
+        ) as dispatcher:
             for _ in range(repeats):
                 started = time.perf_counter()
-                batched = _submit_concurrently(batcher, samples, concurrency)
+                batched = _submit_concurrently(dispatcher, samples,
+                                               concurrency)
                 batched_seconds = min(
                     batched_seconds, time.perf_counter() - started
                 )
+        histogram = dispatcher.metrics.snapshot()["batches"]["size_histogram"]
 
     # Equivalence before timing claims: identical labels either way.
     assert all(r is not None and r.ok for r in singles)
     assert all(r is not None and r.ok for r in batched)
     assert [r.label for r in singles] == [r.label for r in batched]
 
-    histogram = batched_engine.metrics.snapshot()["batches"]["size_histogram"]
     payload = {
         "corpus_size": len(samples),
         "concurrency": concurrency,
         "max_batch_size": max_batch_size,
-        "max_wait_ms": max_wait_ms,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "singles_seconds": round(singles_seconds, 3),
@@ -190,7 +193,7 @@ def run_bench(
     path = save_result("BENCH_serve", payload)
     print(f"single-request {singles_seconds:7.2f}s "
           f"({payload['singles_rps']} req/s)")
-    print(f"micro-batched  {batched_seconds:7.2f}s "
+    print(f"batched        {batched_seconds:7.2f}s "
           f"({payload['batched_rps']} req/s, concurrency={concurrency})")
     print(f"speedup {payload['speedup']}x — labels identical; "
           f"batch sizes {histogram}")
@@ -199,15 +202,8 @@ def run_bench(
 
 
 def test_micro_batching_matches_single_requests():
-    """CI smoke: coalesced serving is label-equivalent; timings recorded.
-
-    ``max_batch_size`` must not exceed the offered concurrency: the
-    collector holds its window open until the batch fills or the
-    deadline passes, so a cap the clients can never reach turns
-    ``max_wait_ms`` into a pure latency tax on every batch.
-    """
-    payload = run_bench(corpus=24, concurrency=6, max_batch_size=6,
-                        max_wait_ms=20.0)
+    """CI smoke: coalesced serving is label-equivalent; timings recorded."""
+    payload = run_bench(corpus=24, concurrency=6, max_batch_size=6)
     assert payload["labels_equal"]
     # Coalescing actually happened (the histogram has a multi-request batch).
     assert max(int(size) for size in payload["batch_size_histogram"]) >= 2
@@ -218,7 +214,6 @@ def main() -> None:
     parser.add_argument("--corpus", type=int, default=48)
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--max-batch-size", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=20.0)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
@@ -226,7 +221,6 @@ def main() -> None:
         corpus=args.corpus,
         concurrency=args.concurrency,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         repeats=args.repeats,
         seed=args.seed,
     )

@@ -11,9 +11,11 @@ extracted yourself) becomes an online one in three steps:
 2. **Load** it into an :class:`~repro.serve.InferenceEngine`, which runs
    the whole listing-text -> CFG -> ACFG -> batched-DGCNN path with
    per-request fault isolation and a content-hash prediction cache.
-3. **Coalesce** concurrent requests with a :class:`~repro.serve.MicroBatcher`
-   so that simultaneous callers share one ``GraphBatch`` forward pass —
-   the same machinery behind ``python -m repro.cli serve``.
+3. **Coalesce** concurrent requests through a
+   :meth:`~repro.serve.FleetDispatcher.in_process` dispatcher, so that
+   callers who queue up behind a running batch share the next
+   ``GraphBatch`` forward pass — the same machinery behind
+   ``python -m repro.cli serve``.
 
 Run:  python examples/batched_inference.py
 """
@@ -23,7 +25,7 @@ import threading
 
 from repro.core import Magic, ModelConfig
 from repro.datasets import generate_mskcfg_dataset, generate_mskcfg_listings
-from repro.serve import InferenceEngine, MicroBatcher, publish
+from repro.serve import FleetDispatcher, InferenceEngine, publish
 from repro.train import TrainingConfig
 
 
@@ -67,10 +69,10 @@ def main() -> None:
         print(f"  {result.describe()}")
 
     # Concurrent callers coalesce into shared forward passes.
-    print(f"\nmicro-batching {len(listings)} concurrent requests:")
-    with MicroBatcher(engine, max_batch_size=8, max_wait_ms=200.0) as batcher:
+    print(f"\nbatching {len(listings)} concurrent requests:")
+    with FleetDispatcher.in_process(engine, max_batch_size=8) as dispatcher:
         threads = [
-            threading.Thread(target=batcher.submit, args=(text,),
+            threading.Thread(target=dispatcher.submit, args=(text,),
                              kwargs={"name": name})
             for name, text, _ in listings
         ]
@@ -79,7 +81,7 @@ def main() -> None:
         for thread in threads:
             thread.join()
 
-    snapshot = engine.metrics.snapshot()
+    snapshot = dispatcher.metrics.snapshot()
     print(f"  batch size histogram: {snapshot['batches']['size_histogram']}")
     print(f"  cache hit rate:       {snapshot['cache']['hit_rate']:.2f}")
     print(f"  requests ok/failed:   {snapshot['requests']['ok']}"

@@ -1,7 +1,7 @@
 """Rule ``lock-discipline`` — shared counters mutate under their lock.
 
 :class:`repro.serve.metrics.ServeMetrics` is written from HTTP handler
-threads, the micro-batcher worker, and the engine simultaneously; every
+threads, the dispatch thread, and the engine simultaneously; every
 counter mutation belongs inside ``with self._lock``.  A missed lock is
 the classic silent bug — counts drift only under load, exactly when
 nobody is reading the code.

@@ -3,7 +3,7 @@
 The serving stack holds five long-lived locks (engine cache lock,
 ``ServeMetrics._lock``, ``FleetDispatcher._lock``, ``CompiledModel``'s
 RLock, ``SimilarityIndex``'s RLock) and they are acquired from HTTP
-handler threads, the micro-batcher worker, the dispatch loop, and the
+handler threads, replica threads, the dispatch loop, and the
 rollout coordinator concurrently.  Two invariants keep that safe:
 
 * **Acyclic acquisition order.**  If thread 1 takes A then B while

@@ -9,7 +9,7 @@ discriminate, and an unannotated ``except Exception`` (or a bare
 taxonomy to classify.
 
 Broad excepts are still *required* at the registered fault-isolation
-boundaries (pool workers, the micro-batcher loop, quarantine) — those
+boundaries (pool workers, the request-worker loop, quarantine) — those
 sites carry an explicit ``# repro: allow[broad-except] — reason``
 pragma, replacing the old free-text ``noqa: BLE001`` convention, so the
 set of boundaries is greppable and reviewed.

@@ -15,7 +15,7 @@ then classify unknown binaries' listings — as four subcommands:
   extracted corpus using the topology-aware CFG fingerprints of
   :mod:`repro.similarity`.
 * ``serve``    — run the HTTP classification service (``/classify``,
-  ``/healthz``, ``/metrics``): single-process micro-batching by
+  ``/healthz``, ``/metrics``): one in-process model replica by
   default, or a multi-process fleet of model replicas with
   ``--workers N``.
 * ``rollout``  — drive a running fleet's zero-downtime model rollout
@@ -324,17 +324,19 @@ def cmd_dedup(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the HTTP classification service (single-process or fleet).
+    """Run the HTTP classification service over a fleet dispatcher.
 
-    ``--workers 0`` (the default) keeps the original single-process
-    path: one engine behind one micro-batcher.  ``--workers N`` starts
-    N model-replica worker processes behind the fleet dispatcher
-    (least-loaded routing, per-worker batching, SIGKILL+respawn
-    supervision) and enables the ``/rollout/*`` endpoints.
+    ``--workers 0`` (the default) serves the engine built from
+    ``--model-dir`` or ``--registry``/``--model`` on one replica thread
+    of this process.  ``--workers N`` starts N model-replica worker
+    processes over a registry archive (least-loaded routing, SIGKILL +
+    respawn supervision) and enables the ``/rollout/*`` endpoints.
+    Both batch the same way: queued requests leave together, up to
+    ``--max-batch-size``.
     """
-    if args.workers > 0:
-        from repro.serve import FleetDispatcher, build_fleet_server
+    from repro.serve import FleetDispatcher, build_server
 
+    if args.workers > 0:
         if args.model_dir or not (args.registry and args.model):
             raise MagicError(
                 "--workers N requires --registry and --model: fleet "
@@ -358,40 +360,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
             infer_dtype=args.infer_dtype,
             **fleet_kwargs,
         )
-        server = build_fleet_server(
-            dispatcher,
-            host=args.host,
-            port=args.port,
-            request_timeout=args.request_timeout,
-            quiet=not args.verbose,
-            include_margin=args.include_margin,
-        )
-        print(f"Serving {dispatcher.describe_model()} on "
-              f"http://{args.host}:{server.port} "
-              f"(fleet: {args.workers} workers, "
-              f"max_batch_size={args.max_batch_size})")
-        print("Endpoints: POST /classify, GET /healthz, GET /metrics, "
-              "POST /rollout/start|promote|rollback, GET /rollout/status")
     else:
-        from repro.serve import build_server
-
-        engine = _serving_engine(args)
-        server = build_server(
-            engine,
-            host=args.host,
-            port=args.port,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            request_timeout=args.request_timeout,
-            quiet=not args.verbose,
-            include_margin=args.include_margin,
+        dispatcher = FleetDispatcher.in_process(
+            _serving_engine(args), max_batch_size=args.max_batch_size
         )
-        described = (engine.model_info.describe()
-                     if engine.model_info else "in-process model")
-        print(f"Serving {described} on http://{args.host}:{server.port} "
-              f"(max_batch_size={args.max_batch_size}, "
-              f"max_wait_ms={args.max_wait_ms})")
-        print("Endpoints: POST /classify, GET /healthz, GET /metrics")
+    server = build_server(
+        dispatcher,
+        host=args.host,
+        port=args.port,
+        request_timeout=args.request_timeout,
+        quiet=not args.verbose,
+        include_margin=args.include_margin,
+    )
+    replicas = (f"{args.workers} worker processes" if args.workers
+                else "in-process replica")
+    print(f"Serving {dispatcher.describe_model()} on "
+          f"http://{args.host}:{server.port} "
+          f"({replicas}, max_batch_size={args.max_batch_size})")
+    print("Endpoints: POST /classify, GET /healthz, GET /metrics, "
+          "POST /rollout/start|promote|rollback, GET /rollout/status")
     try:
         server.serve()
     except KeyboardInterrupt:
@@ -953,16 +940,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8731,
                          help="listen port (0 picks a free one)")
     p_serve.add_argument("--workers", type=int, default=0,
-                         help="model-replica worker processes; 0 keeps the "
-                              "single-process micro-batching path")
+                         help="model-replica worker processes; 0 serves "
+                              "one replica on a thread of this process")
     p_serve.add_argument("--max-batch-size", type=int, default=32,
                          help="requests coalesced into one forward pass")
-    p_serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                         help="how long the first request of a batch waits "
-                              "for company (single-process mode only)")
     p_serve.add_argument("--batch-timeout", type=float, default=60.0,
                          help="wall-clock limit per fleet worker batch; a "
-                              "worker over it is killed and respawned")
+                              "worker over it is killed and respawned "
+                              "(worker processes only)")
     p_serve.add_argument("--request-timeout", type=float, default=60.0,
                          help="per-request queue timeout before a 503")
     p_serve.add_argument("--verbose", action="store_true",

@@ -3,7 +3,7 @@
 The eager :class:`~repro.nn.tensor.Tensor` engine rebuilds the whole
 computation graph — one node and one freshly allocated output array per
 op — on *every* forward pass, even though training batches and serve
-micro-batches repeat the exact same op topology thousands of times.
+batches repeat the exact same op topology thousands of times.
 This module compiles one recorded eager pass into a flat op list
 ("tape") and replays it with preallocated arena buffers: no Tensor
 objects, no graph walk, and no output, gradient or scratch array

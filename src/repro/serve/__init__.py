@@ -9,30 +9,24 @@ service that metric describes:
 * :mod:`repro.serve.engine` — the text -> CFG -> ACFG -> batched-DGCNN
   prediction path with per-request fault isolation and a content-hash
   LRU prediction cache.
-* :mod:`repro.serve.batching` — micro-batching queue coalescing
-  concurrent requests into shared ``GraphBatch`` forwards.
-* :mod:`repro.serve.fleet` — multi-process dispatcher fanning traffic
-  over long-lived model-replica workers (least-loaded routing,
-  per-worker batching, SIGKILL+respawn supervision).
+* :mod:`repro.serve.fleet` — the one dispatcher every service runs
+  on: continuous batching that coalesces queued requests into shared
+  ``GraphBatch`` forwards, over one in-process replica thread
+  (``--workers 0``) or N long-lived replica processes (least-loaded
+  routing, SIGKILL+respawn supervision).
 * :mod:`repro.serve.rollout` — zero-downtime rollout: shadow a
   candidate registry version on mirrored traffic, judge the canary
   report, promote or roll back atomically.
 * :mod:`repro.serve.http` — stdlib threaded HTTP front end
   (``/classify``, ``/healthz``, ``/metrics``, ``/rollout/*``) over
-  either backend.
+  the dispatcher.
 * :mod:`repro.serve.metrics` — thread-safe counters, latency
-  percentiles, and the micro-batch size histogram behind ``/metrics``.
+  percentiles, and the batch size histogram behind ``/metrics``.
 """
 
-from repro.serve.batching import MicroBatcher
 from repro.serve.engine import ClassificationResult, InferenceEngine
 from repro.serve.fleet import FleetDispatcher
-from repro.serve.http import (
-    ClassificationServer,
-    EngineBackend,
-    build_fleet_server,
-    build_server,
-)
+from repro.serve.http import ClassificationServer, build_server
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import (
     ArchiveInfo,
@@ -52,15 +46,12 @@ __all__ = [
     "CanaryReport",
     "ClassificationResult",
     "ClassificationServer",
-    "EngineBackend",
     "FleetDispatcher",
     "InferenceEngine",
     "LoadedModel",
-    "MicroBatcher",
     "RolloutConfig",
     "RolloutController",
     "ServeMetrics",
-    "build_fleet_server",
     "build_server",
     "list_models",
     "list_versions",

@@ -12,7 +12,7 @@ Two production concerns shape it:
   extraction, so a malformed listing becomes a structured
   :class:`~repro.features.pipeline.ExtractionFailure` (``parse`` /
   ``oversize`` / ``unexpected``) on *its own* result — it never poisons
-  the other requests coalesced into the same micro-batch.
+  the other requests coalesced into the same batch.
 * **A two-tier prediction cache.**  Malware corpora are heavy with
   exact duplicates (repacked submissions, re-scanned files); a
   sha256-of-text key serves repeats without re-running disassembly or

@@ -1,12 +1,15 @@
-"""Multi-process serving fleet: fan ``/classify`` over model replicas.
+"""The serving dispatcher: fan ``/classify`` over model replicas.
 
-The single-process serve stack (engine + :class:`MicroBatcher`) is
-GIL-bound: one worker thread runs every forward, so one deployment can
-never use more than one core.  The :class:`FleetDispatcher` lifts the
-same contract onto N long-lived worker processes
+Every ``repro.cli serve`` runs through one :class:`FleetDispatcher`.
+With ``--workers N`` its replicas are N long-lived worker processes
 (:class:`~repro.workers.request.RequestWorker`), each of which loads its
 own model replica from the registry at startup and answers batched
-classification messages over its pipe.
+classification messages over its pipe.  With ``--workers 0``
+(:meth:`FleetDispatcher.in_process`) the one replica is a thread of the
+server process (:class:`~repro.workers.request.InProcessWorker`) serving
+an engine that is already loaded; it speaks the same pipe protocol, so
+routing, batching, draining and metrics are the same code.  A thread is
+GIL-bound, so only processes use more than one core.
 
 Routing and batching
 --------------------
@@ -17,9 +20,9 @@ batching is continuous rather than windowed: whenever a worker is idle
 and the queue is non-empty, it immediately receives up to
 ``max_batch_size`` requests (split fairly across idle workers), and
 requests arriving while every worker is busy pile up and leave as the
-next batch — the same coalescing-under-load behaviour as the
-single-process :class:`MicroBatcher`, without the wait-window latency
-tax.  Ties between idle workers break toward the least-served replica.
+next batch: requests coalesce under load, and a lone request never
+waits for company.  Ties between idle workers break toward the
+least-served replica.
 
 Failure semantics
 -----------------
@@ -36,7 +39,9 @@ init error, or is not ready within ``start_timeout`` is marked failed
 and taken out of rotation (never respawned again); when every
 primary replica is failed, ``submit`` raises
 :class:`~repro.exceptions.ServeError` (HTTP 503) instead of queueing
-into the void.
+into the void.  A thread cannot be killed, so the in-process replica
+has no batch deadline; its requests still time out at ``submit``'s
+``timeout``.
 
 Rollout
 -------
@@ -45,6 +50,7 @@ workers run beside the primaries under the ``shadow`` role, a fraction
 of successful live traffic is mirrored to them (results never returned
 to clients), and the accumulated canary report promotes or rolls back
 atomically under the fleet lock.  See :mod:`repro.serve.rollout`.
+Rollout needs registry replicas, so the in-process dispatcher refuses it.
 """
 
 from __future__ import annotations
@@ -56,13 +62,12 @@ import threading
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.exceptions import FleetError, RolloutError, ServeError, WorkerStartupError
 from repro.features.pipeline import ExtractionFailure, FailureKind
-from repro.serve.batching import DEFAULT_MAX_BATCH_SIZE
 from repro.serve.engine import DEFAULT_CACHE_SIZE, ClassificationResult, InferenceEngine
-from repro.serve.metrics import ServeMetrics
+from repro.serve.metrics import Observations, ServeMetrics
 from repro.serve.registry import read_manifest, resolve_version
 from repro.serve.rollout import SHADOWING, RolloutConfig, RolloutController
 from repro.workers.request import (
@@ -71,10 +76,14 @@ from repro.workers.request import (
     STARTED,
     STARTUP_FAILED,
     TIMED_OUT,
+    InProcessWorker,
     RequestWorker,
     WorkerEvent,
     WorkerReply,
 )
+
+#: Default cap on requests per replica batch.
+DEFAULT_MAX_BATCH_SIZE = 32
 
 #: Default wall-clock limit for one worker batch (extraction + forward).
 DEFAULT_BATCH_TIMEOUT = 60.0
@@ -89,13 +98,21 @@ FAILED = "failed"
 
 
 class _InferenceHandler:
-    """Worker-side request handler: one engine replica, batched calls."""
+    """Worker-side request handler: one engine replica, batched calls.
+
+    Replies with the batch's results and the observations the engine
+    recorded while producing them, so each one is counted exactly once,
+    in the dispatcher's metrics.
+    """
 
     def __init__(self, engine: InferenceEngine) -> None:
         self.engine = engine
 
-    def __call__(self, payload: List) -> List[ClassificationResult]:
-        return self.engine.classify_texts([tuple(pair) for pair in payload])
+    def __call__(
+        self, payload: List
+    ) -> Tuple[List[ClassificationResult], Observations]:
+        results = self.engine.classify_texts([tuple(pair) for pair in payload])
+        return results, self.engine.metrics.drain()
 
 
 def inference_service(
@@ -139,6 +156,9 @@ def inference_service(
 
 
 ENTRYPOINT = "repro.serve.fleet:inference_service"
+
+#: Factory of the in-process replica, called with ``engine=``.
+IN_PROCESS_ENTRYPOINT = "repro.serve.fleet:_InferenceHandler"
 
 
 class _FleetRequest:
@@ -209,21 +229,24 @@ class _Replica:
 
 
 class FleetDispatcher:
-    """Routes classification traffic over N model-replica processes.
+    """Routes classification traffic over model replicas.
 
-    Implements the serving-backend contract the HTTP layer expects
-    (``submit`` / ``metrics_snapshot`` / ``health_payload`` /
-    ``pending_count`` / lifecycle), plus the rollout control surface.
+    The backend the HTTP layer serves (``submit`` / ``metrics_snapshot``
+    / ``describe_model`` / ``pending_count`` / lifecycle), plus the
+    rollout control surface.  This constructor runs N replica processes
+    over a registry archive; :meth:`in_process` runs one replica thread
+    over an engine already loaded.
 
     Parameters
     ----------
     root, name, version:
         Registry coordinates of the served model; ``version=None`` pins
         to the latest finalized archive at construction time, so every
-        replica — including respawns — loads the same version.
+        replica — including respawns — loads the same version.  Omitted
+        with ``engine``.
     num_workers:
-        Primary replica count (must be >= 1; ``--workers 0`` keeps the
-        single-process path and never constructs a dispatcher).
+        Primary replica process count (must be >= 1; ``--workers 0`` is
+        :meth:`in_process`).
     max_batch_size:
         Cap on requests per worker batch.
     batch_timeout:
@@ -244,12 +267,16 @@ class FleetDispatcher:
         Forwarded into each worker's :class:`InferenceEngine`; the tape
         cache is per-process, so respawned replicas re-capture on their
         first batch of each shape.
+    engine:
+        Serve this loaded engine on one replica thread instead (see
+        :meth:`in_process`, which sets the matching knobs); the engine
+        options above then do not apply.
     """
 
     def __init__(
         self,
-        root: str,
-        name: str,
+        root: Optional[str] = None,
+        name: Optional[str] = None,
         version: Optional[str] = None,
         num_workers: int = 2,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
@@ -263,7 +290,20 @@ class FleetDispatcher:
         metrics: Optional[ServeMetrics] = None,
         compiled: bool = True,
         infer_dtype: str = "float64",
+        *,
+        engine: Optional[InferenceEngine] = None,
     ) -> None:
+        if engine is not None:
+            if root is not None or num_workers != 1 or batch_timeout is not None:
+                raise FleetError(
+                    "an engine is served by one replica thread with no "
+                    "batch deadline; use FleetDispatcher.in_process(engine)"
+                )
+        elif root is None or name is None:
+            raise FleetError(
+                "pass the registry root and model name, or use "
+                "FleetDispatcher.in_process(engine)"
+            )
         if num_workers < 1:
             raise FleetError(f"num_workers must be >= 1, got {num_workers}")
         if max_batch_size < 1:
@@ -277,11 +317,22 @@ class FleetDispatcher:
                 "float32 inference is implemented by the compiled tape only; "
                 "drop --no-compiled or use float64"
             )
-        self.root = os.path.abspath(root)
-        self.name = name
-        self.version = resolve_version(self.root, name, version)
-        manifest = read_manifest(self.root, name, self.version)
-        self.family_names: List[str] = list(manifest["family_names"])
+        self._engine = engine
+        if engine is not None:
+            info = engine.model_info
+            self.root: Optional[str] = None
+            self.name = info.name if info is not None else "in-process"
+            self.version: Optional[str] = (
+                info.version if info is not None else None
+            )
+            self.family_names: List[str] = list(engine.family_names)
+        else:
+            assert root is not None and name is not None
+            self.root = os.path.abspath(root)
+            self.name = name
+            self.version = resolve_version(self.root, name, version)
+            manifest = read_manifest(self.root, name, self.version)
+            self.family_names = list(manifest["family_names"])
         self.num_workers = num_workers
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
@@ -308,6 +359,23 @@ class FleetDispatcher:
         self._thread: Optional[threading.Thread] = None
         self._waker_r = -1
         self._waker_w = -1
+
+    @classmethod
+    def in_process(
+        cls,
+        engine: InferenceEngine,
+        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
+        metrics: Optional[ServeMetrics] = None,
+    ) -> "FleetDispatcher":
+        """One primary replica on a thread of this process, over ``engine``.
+
+        The ``--workers 0`` service: the engine may come from a registry
+        or from ``--model-dir``, and it names the model and its
+        families.  The replica has no batch deadline (a thread cannot be
+        killed), and rollout is refused.
+        """
+        return cls(num_workers=1, max_batch_size=max_batch_size,
+                   batch_timeout=None, metrics=metrics, engine=engine)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -360,11 +428,21 @@ class FleetDispatcher:
             time.sleep(_TICK_SECONDS)
         with self._lock:
             self._running = False
+            # Only on drain timeout: whatever is still queued or inside a
+            # busy replica's batch.  The replicas are stopped after the
+            # dispatch thread ends, so nobody would read their replies.
             leftovers = list(self._queue)
             self._queue.clear()
             self._shadow_queue.clear()
-        for request in leftovers:  # only on drain timeout
-            request.error = ServeError("fleet stopped before the request ran")
+            busy = [replica for replica in self._replicas if replica.busy]
+            for replica in busy:
+                assert replica.batch is not None
+                leftovers.extend(replica.batch)
+                replica.batch = None
+        for request in leftovers:
+            request.error = ServeError(
+                "fleet stopped before the request finished"
+            )
             if request.event is not None:
                 request.event.set()
         self._wake()
@@ -375,7 +453,7 @@ class FleetDispatcher:
             replicas = list(self._replicas)
             self._replicas.clear()
         for replica in replicas:
-            replica.worker.stop(kill=replica.busy)
+            replica.worker.stop(kill=replica in busy)
         self._close_waker()
 
     def __enter__(self) -> "FleetDispatcher":
@@ -405,13 +483,16 @@ class FleetDispatcher:
         except (BlockingIOError, OSError):
             pass  # already signalled (pipe full) or shutting down
 
-    def _spawn_replica(self, role: str, version: str) -> _Replica:
+    def _spawn_replica(self, role: str, version: Optional[str]) -> _Replica:
         """Spawn one worker and block until it announces ready."""
         self._spawn_counter += 1
-        worker = RequestWorker(
-            name=f"{self.name}@{version}#{self._spawn_counter}",
-            entrypoint=ENTRYPOINT,
-            init_kwargs={
+        init_kwargs: Dict[str, Any]
+        if self._engine is not None:
+            worker_class, entrypoint = InProcessWorker, IN_PROCESS_ENTRYPOINT
+            init_kwargs = {"engine": self._engine}
+        else:
+            worker_class, entrypoint = RequestWorker, ENTRYPOINT
+            init_kwargs = {
                 "root": self.root,
                 "name": self.name,
                 "version": version,
@@ -422,7 +503,11 @@ class FleetDispatcher:
                 "fault_plan": self.fault_plan,
                 "compiled": self.compiled,
                 "infer_dtype": self.infer_dtype,
-            },
+            }
+        worker = worker_class(
+            name=f"{self.name}@{version}#{self._spawn_counter}",
+            entrypoint=entrypoint,
+            init_kwargs=init_kwargs,
             start_timeout=self.start_timeout,
         )
         worker.start(wait_ready=self.start_timeout)
@@ -435,9 +520,9 @@ class FleetDispatcher:
     ) -> ClassificationResult:
         """Classify ``text``; blocks until a replica answers.
 
-        Mirrors :meth:`MicroBatcher.submit`: raises
-        :class:`~repro.exceptions.ServeError` when the fleet is not
-        accepting work, has no live replicas, or the request times out.
+        Raises :class:`~repro.exceptions.ServeError` when the fleet is
+        not accepting work, has no live replicas, is stopped with the
+        request unfinished, or the request times out.
         """
         request = _FleetRequest(name=name, text=text, event=threading.Event())
         with self._lock:
@@ -486,7 +571,7 @@ class FleetDispatcher:
 
     def _fleet_snapshot_locked(self) -> Dict[str, Any]:
         return {
-            "model": f"{self.name}@{self.version}",
+            "model": self.describe_model(),
             "queue_depth": len(self._queue),
             "shadow_queue_depth": len(self._shadow_queue),
             "workers": [replica.snapshot() for replica in self._replicas],
@@ -500,17 +585,26 @@ class FleetDispatcher:
         return {**self.metrics.snapshot(), "fleet": self.fleet_snapshot()}
 
     def describe_model(self) -> str:
+        if self._engine is not None:
+            info = self._engine.model_info
+            return info.describe() if info is not None else "in-process"
         return f"{self.name}@{self.version}"
 
     def batching_info(self) -> Dict[str, Any]:
-        # max_wait_ms is structural here: fleet batching is continuous
-        # (idle worker + non-empty queue dispatches immediately).
-        return {"max_batch_size": self.max_batch_size, "max_wait_ms": 0.0}
+        return {"max_batch_size": self.max_batch_size}
 
     # -- rollout control -----------------------------------------------
 
+    def _require_registry_replicas(self) -> None:
+        if self._engine is not None:
+            raise RolloutError(
+                "rollout requires fleet mode; restart the service with "
+                "--workers N (N >= 1)"
+            )
+
     def start_rollout(self, config: RolloutConfig) -> Dict[str, Any]:
         """Spawn candidate workers and begin shadowing live traffic."""
+        self._require_registry_replicas()
         config.validate()
         with self._lock:
             if not self._running:
@@ -557,11 +651,13 @@ class FleetDispatcher:
         return controller.status()
 
     def rollout_status(self) -> Optional[Dict[str, Any]]:
+        self._require_registry_replicas()
         with self._lock:
             return None if self._rollout is None else self._rollout.status()
 
     def promote(self) -> Dict[str, Any]:
         """Operator-driven promotion of the shadowing candidate."""
+        self._require_registry_replicas()
         with self._lock:
             if self._rollout is None or not self._rollout.active:
                 raise RolloutError("no active rollout to promote")
@@ -572,6 +668,7 @@ class FleetDispatcher:
 
     def rollback(self) -> Dict[str, Any]:
         """Operator-driven rollback; the old version never stopped."""
+        self._require_registry_replicas()
         with self._lock:
             if self._rollout is None or not self._rollout.active:
                 raise RolloutError("no active rollout to roll back")
@@ -744,7 +841,10 @@ class FleetDispatcher:
                 )
             return
         self.metrics.observe_batch(len(batch))
-        results: List[ClassificationResult] = reply.value
+        results, observations = reply.value
+        if replica.role != "shadow":
+            # A shadow's observations are the candidate's, like its results.
+            self.metrics.merge(observations)
         for request, result in zip(batch, results):
             latency = now - request.sent_at
             if request.is_shadow:
@@ -753,17 +853,6 @@ class FleetDispatcher:
                 request.result = result
                 if request.event is not None:
                     request.event.set()
-                kind = (result.failure.kind.value
-                        if result.failure is not None else None)
-                self.metrics.observe_request(result.ok, kind)
-                if result.similar:
-                    self.metrics.observe_cache_tier(
-                        "similar", result.similarity
-                    )
-                elif result.cached:
-                    self.metrics.observe_cache_tier("exact")
-                else:
-                    self.metrics.observe_cache_tier("miss")
                 self._maybe_mirror_locked(request, result, latency)
         self._conclude_rollout_locked()
 

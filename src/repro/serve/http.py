@@ -9,19 +9,17 @@ Endpoints, all JSON:
   when the *service* is (queue timeout, draining, dead fleet).
 * ``GET /healthz``  — liveness plus the served model's identity.
 * ``GET /metrics``  — the :class:`~repro.serve.metrics.ServeMetrics`
-  snapshot; in fleet mode it additionally carries a ``"fleet"`` section
-  with per-worker state (busy, served, respawns, queue depth).
+  snapshot plus a ``"fleet"`` section with per-replica state (busy,
+  served, respawns, queue depth).
 * ``POST /rollout/start`` / ``GET /rollout/status`` /
   ``POST /rollout/promote`` / ``POST /rollout/rollback`` — the
-  zero-downtime rollout control surface (fleet mode only; ``409``
-  otherwise).
+  zero-downtime rollout control surface (replica processes only;
+  ``409`` for the in-process replica).
 
-The server is front-end only: it speaks to a **backend** — either the
-in-process engine + :class:`MicroBatcher` pair (``--workers 0``) or a
-:class:`~repro.serve.fleet.FleetDispatcher` fanning requests over model
-replica processes.  Both expose the same surface (``submit``,
-``metrics_snapshot``, ``pending_count``, lifecycle), so every handler
-path is identical in both modes.
+The server is front-end only: its **backend** is a
+:class:`~repro.serve.fleet.FleetDispatcher`, whether it runs one
+in-process replica (``--workers 0``) or N replica processes, so every
+handler path is the same in both modes.
 
 Operational contracts pinned here:
 
@@ -43,77 +41,16 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import RolloutError, ServeError
 from repro.features.pipeline import FailureKind
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_WAIT_MS,
-    MicroBatcher,
-)
-from repro.serve.engine import ClassificationResult, InferenceEngine
+from repro.serve.engine import ClassificationResult
+from repro.serve.fleet import FleetDispatcher
 
 #: Largest accepted request body; a listing bigger than this is not a
 #: classification request, it is a denial of service.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
-class EngineBackend:
-    """Single-process backend: one engine behind one micro-batcher."""
-
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-    ) -> None:
-        self.engine = engine
-        self.batcher = MicroBatcher(
-            engine, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
-        )
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> "EngineBackend":
-        self.batcher.start()
-        return self
-
-    def stop(self) -> None:
-        self.batcher.stop()
-
-    # -- serving -------------------------------------------------------
-
-    def submit(self, text: str, name: str = "",
-               timeout: Optional[float] = 30.0) -> ClassificationResult:
-        return self.batcher.submit(text, name=name, timeout=timeout)
-
-    @property
-    def pending_count(self) -> int:
-        return self.batcher.pending_count
-
-    # -- observability -------------------------------------------------
-
-    @property
-    def metrics(self):
-        return self.engine.metrics
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        return self.engine.metrics.snapshot()
-
-    def describe_model(self) -> str:
-        info = self.engine.model_info
-        return info.describe() if info is not None else "in-process"
-
-    @property
-    def family_names(self):
-        return self.engine.family_names
-
-    def batching_info(self) -> Dict[str, Any]:
-        return {
-            "max_batch_size": self.batcher.max_batch_size,
-            "max_wait_ms": self.batcher.max_wait_ms,
-        }
-
-
 class ClassificationServer(ThreadingHTTPServer):
-    """HTTP server over a serving backend (engine pair or fleet)."""
+    """HTTP server over a :class:`FleetDispatcher` backend."""
 
     # Restart/rollout cycles must rebind immediately; without this a
     # lingering TIME_WAIT socket from the previous incarnation fails the
@@ -129,7 +66,7 @@ class ClassificationServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        backend,
+        backend: FleetDispatcher,
         request_timeout: float = 60.0,
         quiet: bool = True,
         include_margin: bool = False,
@@ -166,37 +103,14 @@ class ClassificationServer(ThreadingHTTPServer):
 
 
 def build_server(
-    engine: InferenceEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-    max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
-    request_timeout: float = 60.0,
-    quiet: bool = True,
-    include_margin: bool = False,
-) -> ClassificationServer:
-    """A single-process server (not yet started); ``port=0`` = any free."""
-    backend = EngineBackend(
-        engine, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
-    )
-    return ClassificationServer(
-        (host, port),
-        backend,
-        request_timeout=request_timeout,
-        quiet=quiet,
-        include_margin=include_margin,
-    )
-
-
-def build_fleet_server(
-    dispatcher,
+    dispatcher: FleetDispatcher,
     host: str = "127.0.0.1",
     port: int = 0,
     request_timeout: float = 60.0,
     quiet: bool = True,
     include_margin: bool = False,
 ) -> ClassificationServer:
-    """A server fronting a :class:`~repro.serve.fleet.FleetDispatcher`."""
+    """A server (not yet started) over ``dispatcher``; ``port=0`` = any free."""
     return ClassificationServer(
         (host, port),
         dispatcher,
@@ -296,31 +210,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- /rollout/* ----------------------------------------------------
 
-    def _fleet_backend(self):
-        backend = self.server.backend
-        if not hasattr(backend, "start_rollout"):
-            self._send(
-                409,
-                {"error": "rollout requires fleet mode; restart the "
-                          "service with --workers N (N >= 1)"},
-            )
-            return None
-        return backend
-
     def _rollout_status(self) -> None:
-        backend = self._fleet_backend()
-        if backend is None:
+        try:
+            status = self.server.backend.rollout_status()
+        except RolloutError as exc:
+            self._send(409, {"error": str(exc)})
             return
-        status = backend.rollout_status()
         if status is None:
             self._send(404, {"error": "no rollout has been started"})
         else:
             self._send(200, status)
 
     def _rollout_start(self) -> None:
-        backend = self._fleet_backend()
-        if backend is None:
-            return
         body, error = self._read_json()
         if error is not None:
             self._send(400, {"error": error})
@@ -349,18 +250,15 @@ class _Handler(BaseHTTPRequestHandler):
                     return
         try:
             config = RolloutConfig(**kwargs)
-            status = backend.start_rollout(config)
+            status = self.server.backend.start_rollout(config)
         except (RolloutError, ServeError) as exc:
             self._send(409, {"error": str(exc)})
             return
         self._send(200, status)
 
     def _rollout_action(self, action: str) -> None:
-        backend = self._fleet_backend()
-        if backend is None:
-            return
         try:
-            status = getattr(backend, action)()
+            status = getattr(self.server.backend, action)()
         except (RolloutError, ServeError) as exc:
             self._send(409, {"error": str(exc)})
             return
@@ -378,10 +276,8 @@ class _Handler(BaseHTTPRequestHandler):
                 time.monotonic() - self.server.started_at, 3
             ),
             "batching": backend.batching_info(),
+            "workers": len(backend.fleet_snapshot()["workers"]),
         }
-        if hasattr(backend, "fleet_snapshot"):
-            snapshot = backend.fleet_snapshot()
-            payload["workers"] = len(snapshot["workers"])
         return payload
 
     def _read_json(self) -> Tuple[Optional[dict], Optional[str]]:

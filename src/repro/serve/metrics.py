@@ -1,11 +1,16 @@
 """Thread-safe serving metrics: counters, histograms, latency percentiles.
 
-One :class:`ServeMetrics` instance is shared by the inference engine
-(cache hits, per-stage latencies), the micro-batcher (batch-size
-histogram), and the HTTP front end (request outcomes).  ``snapshot()``
-returns a plain-JSON view — what ``/metrics`` serves — so operators can
-watch coalescing behaviour (the batch-size histogram) and the per-stage
-latency distribution without attaching a profiler.
+Each observation is recorded once, where it happens: a replica's
+inference engine records request outcomes, cache tiers and the
+``extract`` / ``forward`` / ``fingerprint`` stages into its own
+:class:`ServeMetrics` and ships them with each batch's results
+(:meth:`ServeMetrics.drain`); the dispatcher merges them into the
+service-wide instance, where it also records batch sizes and the
+failures it decides itself (crash, timeout), and the HTTP front end
+records the ``request`` stage.  ``snapshot()`` returns a plain-JSON
+view — what ``/metrics`` serves — so operators can watch coalescing
+behaviour (the batch-size histogram) and the per-stage latency
+distribution without attaching a profiler.
 
 Latency percentiles are computed over a bounded ring of recent
 observations per stage: a long-running server keeps O(1) memory and the
@@ -36,8 +41,45 @@ CACHE_TIERS = ("exact", "similar", "miss")
 SIMILARITY_BIN = 0.05
 
 
+class Observations:
+    """Everything counted since a reset; picklable, so it can cross a pipe.
+
+    A replica's engine records into its own :class:`ServeMetrics` and
+    hands the batch's observations back with the results
+    (:meth:`ServeMetrics.drain`); the dispatcher folds them into the
+    service-wide one (:meth:`ServeMetrics.merge`).
+    """
+
+    def __init__(self, latency_window: int) -> None:
+        self.latency_window = latency_window
+        self.requests: Counter[str] = Counter()  # "ok" / "failed"
+        self.failures_by_kind: Counter[str] = Counter()
+        self.cache_tiers: Counter[str] = Counter()  # keyed by CACHE_TIERS
+        self.similarity_bins: Counter[str] = Counter()
+        self.batch_sizes: Counter[int] = Counter()
+        self.stage_seconds: Dict[str, Deque[float]] = {}
+        self.stage_counts: Counter[str] = Counter()
+
+    def ring(self, stage: str) -> Deque[float]:
+        ring = self.stage_seconds.get(stage)
+        if ring is None:
+            ring = deque(maxlen=self.latency_window)
+            self.stage_seconds[stage] = ring
+        return ring
+
+    def merge(self, other: "Observations") -> None:
+        self.requests.update(other.requests)
+        self.failures_by_kind.update(other.failures_by_kind)
+        self.cache_tiers.update(other.cache_tiers)
+        self.similarity_bins.update(other.similarity_bins)
+        self.batch_sizes.update(other.batch_sizes)
+        for stage, ring in other.stage_seconds.items():
+            self.ring(stage).extend(ring)
+        self.stage_counts.update(other.stage_counts)
+
+
 class ServeMetrics:
-    """Aggregates serving observations from engine, batcher, and HTTP."""
+    """Aggregates serving observations from engine, dispatcher, and HTTP."""
 
     def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW) -> None:
         if latency_window < 1:
@@ -46,28 +88,16 @@ class ServeMetrics:
             )
         self._lock = threading.Lock()
         self._latency_window = latency_window
-        self._requests_ok = 0
-        self._requests_failed = 0
-        self._failures_by_kind: Counter[str] = Counter()
-        self._cache_exact_hits = 0
-        self._cache_similar_hits = 0
-        self._cache_misses = 0
-        self._similarity_bins: Counter[str] = Counter()
-        self._batch_sizes: Counter[int] = Counter()
-        self._stage_seconds: Dict[str, Deque[float]] = {}
-        self._stage_counts: Counter[str] = Counter()
+        self._seen = Observations(latency_window)
 
     # -- recording ----------------------------------------------------
 
     def observe_request(self, ok: bool, kind: Optional[str] = None) -> None:
         """One classification request finished (success or failure)."""
         with self._lock:
-            if ok:
-                self._requests_ok += 1
-            else:
-                self._requests_failed += 1
-                if kind:
-                    self._failures_by_kind[kind] += 1
+            self._seen.requests["ok" if ok else "failed"] += 1
+            if not ok and kind:
+                self._seen.failures_by_kind[kind] += 1
 
     def observe_cache_tier(
         self, tier: str, similarity: Optional[float] = None
@@ -82,69 +112,75 @@ class ServeMetrics:
                 f"cache tier must be one of {CACHE_TIERS}, got {tier!r}"
             )
         with self._lock:
-            if tier == "exact":
-                self._cache_exact_hits += 1
-            elif tier == "similar":
-                self._cache_similar_hits += 1
-                if similarity is not None:
-                    edge = int(similarity / SIMILARITY_BIN) * SIMILARITY_BIN
-                    self._similarity_bins[f"{edge:.2f}"] += 1
-            else:
-                self._cache_misses += 1
+            self._seen.cache_tiers[tier] += 1
+            if tier == "similar" and similarity is not None:
+                edge = int(similarity / SIMILARITY_BIN) * SIMILARITY_BIN
+                self._seen.similarity_bins[f"{edge:.2f}"] += 1
 
     def observe_batch(self, size: int) -> None:
-        """One micro-batch went through the model."""
+        """One batch went through a replica."""
         with self._lock:
-            self._batch_sizes[int(size)] += 1
+            self._seen.batch_sizes[int(size)] += 1
 
     def observe_stage(self, stage: str, seconds: float) -> None:
         """One timed pass through a pipeline stage (extract/forward/...)."""
         with self._lock:
-            ring = self._stage_seconds.get(stage)
-            if ring is None:
-                ring = deque(maxlen=self._latency_window)
-                self._stage_seconds[stage] = ring
-            ring.append(float(seconds))
-            self._stage_counts[stage] += 1
+            self._seen.ring(stage).append(float(seconds))
+            self._seen.stage_counts[stage] += 1
+
+    def drain(self) -> Observations:
+        """Hand over everything observed so far and start from zero."""
+        with self._lock:
+            seen, self._seen = self._seen, Observations(self._latency_window)
+        return seen
+
+    def merge(self, observations: Observations) -> None:
+        """Add another recorder's drained observations to this one."""
+        with self._lock:
+            self._seen.merge(observations)
 
     # -- reading ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready view of everything observed so far."""
         with self._lock:
-            total = self._requests_ok + self._requests_failed
-            cache_hits = self._cache_exact_hits + self._cache_similar_hits
-            cache_total = cache_hits + self._cache_misses
-            batches = sum(self._batch_sizes.values())
+            seen = self._seen
+            ok, failed = seen.requests["ok"], seen.requests["failed"]
+            exact = seen.cache_tiers["exact"]
+            similar = seen.cache_tiers["similar"]
+            misses = seen.cache_tiers["miss"]
+            cache_hits = exact + similar
+            cache_total = cache_hits + misses
+            batches = sum(seen.batch_sizes.values())
             batched_requests = sum(
-                size * count for size, count in self._batch_sizes.items()
+                size * count for size, count in seen.batch_sizes.items()
             )
             latency_ms = {
-                stage: self._percentiles_ms(ring, self._stage_counts[stage])
-                for stage, ring in sorted(self._stage_seconds.items())
+                stage: self._percentiles_ms(ring, seen.stage_counts[stage])
+                for stage, ring in sorted(seen.stage_seconds.items())
             }
             return {
                 "requests": {
-                    "total": total,
-                    "ok": self._requests_ok,
-                    "failed": self._requests_failed,
+                    "total": ok + failed,
+                    "ok": ok,
+                    "failed": failed,
                     "failures_by_kind": dict(sorted(
-                        self._failures_by_kind.items()
+                        seen.failures_by_kind.items()
                     )),
                 },
                 "cache": {
                     # "hits" (both tiers combined) and "hit_rate" predate
                     # the tiered cache and stay for dashboard compat.
                     "hits": cache_hits,
-                    "exact_hits": self._cache_exact_hits,
-                    "similar_hits": self._cache_similar_hits,
-                    "misses": self._cache_misses,
+                    "exact_hits": exact,
+                    "similar_hits": similar,
+                    "misses": misses,
                     "hit_rate": (
                         cache_hits / cache_total if cache_total else 0.0
                     ),
                     "similarity_histogram": {
                         edge: count for edge, count in sorted(
-                            self._similarity_bins.items()
+                            seen.similarity_bins.items()
                         )
                     },
                 },
@@ -157,7 +193,7 @@ class ServeMetrics:
                     # before stringifying so the histogram reads in order.
                     "size_histogram": {
                         str(size): count for size, count in sorted(
-                            self._batch_sizes.items()
+                            seen.batch_sizes.items()
                         )
                     },
                 },

@@ -15,7 +15,7 @@ The index is a *cache tier*, so it carries cache obligations:
   query hit refreshes the matched entry's recency (it is serving
   traffic), eviction removes the entry from every band bucket.
 * **Thread-safe.**  One lock serializes mutation and lookup; the engine
-  calls it from HTTP handler / micro-batcher threads concurrently.
+  calls it from HTTP handler / replica threads concurrently.
 * **Honest about estimates.**  A bucket collision is only a candidate:
   the query computes the estimated Jaccard against each candidate's
   stored signature and applies the threshold, so the false-similar rate

@@ -8,7 +8,9 @@ This package owns the one supervisor both halves of the system run on,
 supervision rule (deadline and SIGKILL, crash and startup-failure
 detection, stale replies, respawn).  The batch-mode
 :class:`~repro.workers.pool.ProcessWorkerPool` (extraction) and the
-serving fleet (:mod:`repro.serve.fleet`) are policy loops over it.
+serving fleet (:mod:`repro.serve.fleet`) are policy loops over it;
+:class:`~repro.workers.request.InProcessWorker` runs the same worker
+body on a thread, for the single-process service.
 Worker code is resolved by *name* inside the child, so no callable ever
 crosses a pipe — the pool-safety invariant that keeps fork and spawn
 platforms equivalent.
@@ -16,6 +18,7 @@ platforms equivalent.
 
 from repro.workers.pool import ProcessWorkerPool
 from repro.workers.request import (
+    InProcessWorker,
     RequestWorker,
     WorkerEvent,
     WorkerReply,
@@ -23,6 +26,7 @@ from repro.workers.request import (
 )
 
 __all__ = [
+    "InProcessWorker",
     "ProcessWorkerPool",
     "RequestWorker",
     "WorkerEvent",

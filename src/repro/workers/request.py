@@ -11,6 +11,8 @@ respawn — so the extraction pool
 (:class:`~repro.workers.pool.ProcessWorkerPool`) and the serving fleet
 (:class:`~repro.serve.fleet.FleetDispatcher`) are policy loops over a
 set of these that only decide what each outcome costs.
+:class:`InProcessWorker` runs the same worker body on a thread of the
+parent, behind the same handle, for a single-process service.
 
 Wire protocol (parent's view):
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing.process import BaseProcess
@@ -148,16 +151,21 @@ class WorkerEvent:
 
 
 def _request_worker_main(
-    conn: "PipeConn", entrypoint: str, init_kwargs: Dict[str, Any]
+    conn: "PipeConn",
+    entrypoint: str,
+    init_kwargs: Dict[str, Any],
+    watch_parent: bool = True,
 ) -> None:
-    """Child process body: init once, announce, then serve requests.
+    """Worker body: init once, announce, then serve requests.
 
     A forked child inherits copies of the parent's ends of its own pipe
     and of every earlier sibling's, so a parent killed outright never
     shows up as EOF here; an idle child therefore also exits once it has
-    been reparented.
+    been reparented (``watch_parent``).  A thread shares its parent's
+    pid and must not watch it: an in-process worker outlives the shell
+    that launched its server.
     """
-    parent = os.getppid()  # repro: allow[fault-contract] — getppid cannot fail
+    parent = os.getppid() if watch_parent else None  # repro: allow[fault-contract] — getppid cannot fail
     try:
         handler = resolve_entrypoint(entrypoint)(**init_kwargs)
     except BaseException as exc:  # repro: allow[broad-except] — init failure must reach the parent
@@ -172,7 +180,7 @@ def _request_worker_main(
         return
     while True:
         try:
-            if not conn.poll(_ORPHAN_CHECK_SECONDS):
+            if parent is not None and not conn.poll(_ORPHAN_CHECK_SECONDS):
                 if os.getppid() != parent:  # repro: allow[fault-contract] — getppid cannot fail
                     break
                 continue
@@ -189,6 +197,8 @@ def _request_worker_main(
             reply = (request_id, "fail", f"{type(exc).__name__}: {exc}")
         try:
             conn.send(reply)
+        except OSError:
+            break  # the parent closed its end: nobody is left to answer
         except Exception as exc:  # repro: allow[broad-except] — unpicklable result; report, don't die
             conn.send(  # repro: allow[fault-contract] — last-resort report; a broken pipe here is a crash the parent detects
                 (request_id, "fail",
@@ -276,17 +286,10 @@ class RequestWorker:
         blocking start whose child reports an init error, dies, or misses
         the deadline raises :class:`WorkerStartupError`.
         """
-        if self._process is not None:
+        if self._conn is not None:
             raise WorkerError(f"worker {self.name!r} is already started")
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_request_worker_main,
-            args=(child_conn, self.entrypoint, self.init_kwargs),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only its end
-        self._process = process
+        self._launch(child_conn)
         self._conn = parent_conn
         self._ready = False
         self._track(READY, self.start_timeout if wait_ready is None
@@ -374,16 +377,15 @@ class RequestWorker:
 
     def stop(self, kill: bool = False) -> Optional[int]:
         """Stop the child (politely unless ``kill``); returns exit code."""
-        process, conn = self._process, self._conn
-        if process is None or conn is None:
+        conn = self._conn
+        if conn is None:
             return None
-        if not kill and process.is_alive():
+        if not kill and self.alive:
             try:
                 conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        exitcode = terminate_process(process, conn, kill=kill)
-        self._process = None
+        exitcode = self._terminate(conn, kill)
         self._conn = None
         self._ready = False
         self._track(None, None)
@@ -398,6 +400,23 @@ class RequestWorker:
 
     # -- internals ----------------------------------------------------
 
+    def _launch(self, child_conn: "PipeConn") -> None:
+        """Run the worker body on ``child_conn`` in a new child process."""
+        process = self._mp.Process(
+            target=_request_worker_main,
+            args=(child_conn, self.entrypoint, self.init_kwargs),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()  # parent keeps only its end
+        self._process = process
+
+    def _terminate(self, conn: "PipeConn", kill: bool) -> Optional[int]:
+        """Join (or SIGKILL) the child and close ``conn``; its exit code."""
+        process, self._process = self._process, None
+        assert process is not None  # set with the pipe in _launch
+        return terminate_process(process, conn, kill=kill)
+
     def _track(self, request_id: Any, timeout: Optional[float]) -> None:
         self._inflight = request_id
         self._timeout = timeout
@@ -408,3 +427,54 @@ class RequestWorker:
         """SIGKILL the child; returns what was in flight and the exit code."""
         lost = self._inflight if self._ready else None
         return lost, self.stop(kill=True)
+
+
+def _thread_worker_main(
+    conn: "PipeConn", entrypoint: str, init_kwargs: Dict[str, Any]
+) -> None:
+    """In-process worker body; closing its end is the EOF a death needs."""
+    try:
+        _request_worker_main(conn, entrypoint, init_kwargs, watch_parent=False)  # repro: allow[fault-contract] — anything the body does not report ends the thread, and the closed pipe is the crash the parent sees
+    finally:
+        conn.close()
+
+
+class InProcessWorker(RequestWorker):
+    """A :class:`RequestWorker` whose body runs on a thread of this process.
+
+    Same wire protocol, readiness handshake, deadlines and stale-reply
+    drop as a child process, so a dispatcher drives both alike.  A
+    thread cannot be killed: give it no request deadline, and note that
+    ``stop(kill=True)`` only closes the pipe — a handler still running
+    finishes into the void.  ``init_kwargs`` are passed by reference,
+    so the factory may receive live objects (an already-loaded engine).
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        return os.getpid() if self._thread is not None else None
+
+    @property
+    def alive(self) -> bool:
+        return self._thread is not None and self._thread.is_alive()
+
+    def _launch(self, child_conn: "PipeConn") -> None:
+        thread = threading.Thread(
+            target=_thread_worker_main,
+            args=(child_conn, self.entrypoint, self.init_kwargs),
+            name=f"worker-{self.name}",
+            daemon=True,
+        )
+        thread.start()
+        self._thread = thread
+
+    def _terminate(self, conn: "PipeConn", kill: bool) -> Optional[int]:
+        thread, self._thread = self._thread, None
+        if not kill and thread is not None:
+            thread.join(_JOIN_SECONDS)
+        conn.close()
+        return None

@@ -1,4 +1,9 @@
-"""MicroBatcher tests: coalescing, equivalence, isolation, lifecycle."""
+"""Batching at ``--workers 0``: the dispatcher over one in-process replica.
+
+Coalescing, equivalence with a direct engine batch, fault isolation and
+lifecycle of :meth:`FleetDispatcher.in_process` — the single-process
+service every ``repro.cli serve`` without ``--workers N`` runs.
+"""
 
 import threading
 import time
@@ -8,7 +13,7 @@ import pytest
 
 from repro.exceptions import ServeError
 from repro.features.pipeline import FailureKind
-from repro.serve import InferenceEngine, MicroBatcher
+from repro.serve import FleetDispatcher, InferenceEngine
 
 from tests.serve.conftest import MODEL_NAME
 
@@ -20,13 +25,13 @@ def engine(registry_root):
     )
 
 
-def submit_concurrently(batcher, samples):
+def submit_concurrently(dispatcher, samples):
     """Fire one submitting thread per sample; returns results in order."""
     results = [None] * len(samples)
     threads = []
 
     def worker(index, name, text):
-        results[index] = batcher.submit(text, name=name)
+        results[index] = dispatcher.submit(text, name=name)
 
     for index, (name, text) in enumerate(samples):
         thread = threading.Thread(target=worker, args=(index, name, text))
@@ -37,23 +42,25 @@ def submit_concurrently(batcher, samples):
     return results
 
 
+def batch_histogram(dispatcher):
+    return dispatcher.metrics.snapshot()["batches"]["size_histogram"]
+
+
 class TestCoalescing:
     def test_concurrent_requests_share_a_forward(
         self, engine, listing_samples
     ):
         samples = listing_samples[:6]
-        with MicroBatcher(engine, max_batch_size=6,
-                          max_wait_ms=500.0) as batcher:
-            results = submit_concurrently(batcher, samples)
+        with FleetDispatcher.in_process(engine, max_batch_size=6) as dispatcher:
+            results = submit_concurrently(dispatcher, samples)
+            histogram = batch_histogram(dispatcher)
         assert all(result.ok for result in results)
-        histogram = engine.metrics.snapshot()["batches"]["size_histogram"]
         # Every request was served...
         assert sum(
             int(size) * count for size, count in histogram.items()
         ) == len(samples)
-        # ...and at least some genuinely coalesced (the 500 ms window is
-        # enormous next to thread start-up skew, so in practice this is
-        # one batch of 6).
+        # ...and the requests that queued behind the first batch left
+        # together as one.
         assert max(int(size) for size in histogram) >= 2
 
     def test_results_match_direct_engine_batch(
@@ -65,71 +72,31 @@ class TestCoalescing:
         )
         direct = direct_engine.classify_texts(samples)
 
-        batched_engine = InferenceEngine.from_registry(
+        served_engine = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, cache_size=0
         )
-        with MicroBatcher(batched_engine, max_batch_size=5,
-                          max_wait_ms=500.0) as batcher:
-            served = submit_concurrently(batcher, samples)
+        with FleetDispatcher.in_process(
+            served_engine, max_batch_size=5
+        ) as dispatcher:
+            served = submit_concurrently(dispatcher, samples)
 
         assert [r.label for r in served] == [r.label for r in direct]
         assert [r.family for r in served] == [r.family for r in direct]
 
-    def test_zero_wait_degenerates_to_single_requests(
-        self, engine, listing_samples
-    ):
-        with MicroBatcher(engine, max_batch_size=8,
-                          max_wait_ms=0.0) as batcher:
-            # Sequential submits: each request is alone in the queue
-            # when its window (of zero) closes.
-            for name, text in listing_samples[:3]:
-                assert batcher.submit(text, name=name).ok
-        histogram = engine.metrics.snapshot()["batches"]["size_histogram"]
-        assert histogram == {"1": 3}
-
-    def test_window_closes_early_when_no_more_waiters_can_arrive(
-        self, engine, listing_samples
-    ):
-        """A lone request must not sit out the full wait window.
-
-        The queue already holds every submitted-but-unanswered request,
-        so the collector closes the window the moment ``len(queue) >=
-        waiters`` — waiting longer cannot grow the batch.  With a 400 ms
-        window, sequential submits would cost >= 400 ms each without the
-        early close; with it, p50 latency stays far below the window.
-        """
-        samples = listing_samples[:5]
-        latencies = []
-        with MicroBatcher(engine, max_batch_size=8,
-                          max_wait_ms=400.0) as batcher:
-            for name, text in samples:
-                started = time.perf_counter()
-                assert batcher.submit(text, name=name).ok
-                latencies.append(time.perf_counter() - started)
-        p50 = sorted(latencies)[len(latencies) // 2]
-        assert p50 < 0.2, (
-            f"p50 latency {p50:.3f}s suggests lone requests waited out "
-            "the 400 ms batching window"
-        )
-        # Early close did not fabricate batches: each request was alone.
-        histogram = engine.metrics.snapshot()["batches"]["size_histogram"]
-        assert histogram == {"1": len(samples)}
-
     def test_pending_count_tracks_unanswered_requests(
         self, engine, listing_samples
     ):
-        with MicroBatcher(engine, max_wait_ms=0.0) as batcher:
-            assert batcher.pending_count == 0
-            assert batcher.submit(listing_samples[0][1], name="one").ok
-            assert batcher.pending_count == 0
+        with FleetDispatcher.in_process(engine) as dispatcher:
+            assert dispatcher.pending_count == 0
+            assert dispatcher.submit(listing_samples[0][1], name="one").ok
+            assert dispatcher.pending_count == 0
 
     def test_max_batch_size_caps_coalescing(self, engine, listing_samples):
         samples = listing_samples[:6]
-        with MicroBatcher(engine, max_batch_size=2,
-                          max_wait_ms=200.0) as batcher:
-            results = submit_concurrently(batcher, samples)
+        with FleetDispatcher.in_process(engine, max_batch_size=2) as dispatcher:
+            results = submit_concurrently(dispatcher, samples)
+            histogram = batch_histogram(dispatcher)
         assert all(result.ok for result in results)
-        histogram = engine.metrics.snapshot()["batches"]["size_histogram"]
         assert max(int(size) for size in histogram) <= 2
 
 
@@ -138,9 +105,8 @@ class TestFaultIsolation:
         self, engine, listing_samples
     ):
         samples = [listing_samples[0], ("broken", "  "), listing_samples[1]]
-        with MicroBatcher(engine, max_batch_size=3,
-                          max_wait_ms=500.0) as batcher:
-            results = submit_concurrently(batcher, samples)
+        with FleetDispatcher.in_process(engine, max_batch_size=3) as dispatcher:
+            results = submit_concurrently(dispatcher, samples)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert results[1].failure.kind is FailureKind.PARSE
@@ -162,10 +128,9 @@ class TestFaultIsolation:
             return real(samples)
 
         monkeypatch.setattr(engine, "classify_texts", flaky)
-        with MicroBatcher(engine, max_batch_size=1,
-                          max_wait_ms=0.0) as batcher:
-            first = batcher.submit(listing_samples[0][1], name="victim")
-            second = batcher.submit(listing_samples[1][1], name="survivor")
+        with FleetDispatcher.in_process(engine, max_batch_size=1) as dispatcher:
+            first = dispatcher.submit(listing_samples[0][1], name="victim")
+            second = dispatcher.submit(listing_samples[1][1], name="survivor")
         assert not first.ok
         assert first.failure.kind is FailureKind.UNEXPECTED
         assert "engine exploded" in first.failure.detail
@@ -174,46 +139,42 @@ class TestFaultIsolation:
 
 class TestLifecycle:
     def test_submit_before_start_raises(self, engine):
-        batcher = MicroBatcher(engine)
-        with pytest.raises(ServeError, match="not running"):
-            batcher.submit("text", name="early")
+        dispatcher = FleetDispatcher.in_process(engine)
+        with pytest.raises(ServeError, match="not accepting"):
+            dispatcher.submit("text", name="early")
 
     def test_submit_after_stop_raises(self, engine):
-        batcher = MicroBatcher(engine).start()
-        batcher.stop()
-        with pytest.raises(ServeError, match="not running"):
-            batcher.submit("text", name="late")
+        dispatcher = FleetDispatcher.in_process(engine).start()
+        dispatcher.stop()
+        with pytest.raises(ServeError, match="not accepting"):
+            dispatcher.submit("text", name="late")
 
     def test_double_start_rejected(self, engine):
-        batcher = MicroBatcher(engine).start()
+        dispatcher = FleetDispatcher.in_process(engine).start()
         try:
             with pytest.raises(ServeError, match="already running"):
-                batcher.start()
+                dispatcher.start()
         finally:
-            batcher.stop()
+            dispatcher.stop()
 
     def test_stop_is_idempotent(self, engine):
-        batcher = MicroBatcher(engine).start()
-        batcher.stop()
-        batcher.stop()
+        dispatcher = FleetDispatcher.in_process(engine).start()
+        dispatcher.stop()
+        dispatcher.stop()
 
     def test_invalid_knobs_rejected(self, engine):
         with pytest.raises(ServeError, match="max_batch_size"):
-            MicroBatcher(engine, max_batch_size=0)
-        with pytest.raises(ServeError, match="max_wait_ms"):
-            MicroBatcher(engine, max_wait_ms=-1.0)
+            FleetDispatcher.in_process(engine, max_batch_size=0)
 
     def test_queue_timeout_raises(self, engine, listing_samples,
                                   monkeypatch):
         def stall(samples):
-            import time
-
             time.sleep(1.0)
             raise AssertionError("should not be reached in this test")
 
         monkeypatch.setattr(engine, "classify_texts", stall)
-        with MicroBatcher(engine, max_wait_ms=0.0) as batcher:
+        with FleetDispatcher.in_process(engine) as dispatcher:
             with pytest.raises(ServeError, match="timed out"):
-                batcher.submit(
+                dispatcher.submit(
                     listing_samples[0][1], name="slow", timeout=0.05
                 )

@@ -1,5 +1,6 @@
 """Tests for the multi-process serving fleet (`repro.serve.fleet`)."""
 
+import contextlib
 import os
 import signal
 import threading
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FleetError, ServeError, WorkerStartupError
-from repro.serve import FleetDispatcher, InferenceEngine
+from repro.serve import FleetDispatcher, InferenceEngine, build_server
 from repro.testing.faults import FaultPlan
 
 from tests.serve.conftest import MODEL_NAME
+from tests.serve.test_http import request
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +315,105 @@ class TestLifecycle:
     def test_double_start_rejected(self, fleet):
         with pytest.raises(FleetError, match="already running"):
             fleet.start()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_stop_fails_requests_stranded_in_a_busy_replica(
+        self, registry_root, listing_samples, workers
+    ):
+        """A drain that times out answers the busy batch with a 503 too."""
+        plan = FaultPlan.build(hang_on=[0], hang_seconds=3600.0)
+        if workers:
+            dispatcher = FleetDispatcher(
+                registry_root, MODEL_NAME, num_workers=workers,
+                batch_timeout=None, cache_size=0, fault_plan=plan,
+            )
+        else:
+            dispatcher = FleetDispatcher.in_process(
+                InferenceEngine.from_registry(
+                    registry_root, MODEL_NAME, cache_size=0, fault_plan=plan
+                )
+            )
+        name, text = listing_samples[0]
+        errors = []
+
+        def submit():
+            try:
+                dispatcher.submit(text, name=name, timeout=30.0)
+            except ServeError as exc:
+                errors.append(exc)
+
+        dispatcher.start()
+        waiter = threading.Thread(target=submit)
+        waiter.start()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            if dispatcher.fleet_snapshot()["workers"][0]["busy"]:
+                break
+            time.sleep(0.01)
+        dispatcher.stop(timeout=0.5)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive(), "submitter stranded until its timeout"
+        (error,) = errors
+        assert "stopped before the request finished" in str(error)
+
+
+@contextlib.contextmanager
+def serving(dispatcher):
+    server = build_server(dispatcher)
+    with server:
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+    thread.join(timeout=5)
+
+
+class TestMetricsParity:
+    """``/metrics`` has one shape whatever the replicas are, and counts once."""
+
+    @staticmethod
+    def _metrics(dispatcher, sample):
+        name, text = sample
+        bodies = [
+            {"name": name, "asm": text},  # miss
+            {"name": name, "asm": text},  # exact repeat
+            {"name": "junk", "asm": "not a listing at all"},  # malformed
+        ]
+        with serving(dispatcher) as server:
+            statuses = [
+                request(server, "POST", "/classify", payload=body)[0]
+                for body in bodies
+            ]
+            _, metrics = request(server, "GET", "/metrics")
+        assert statuses == [200, 200, 422]
+        return metrics
+
+    def test_same_keys_and_single_counting_at_zero_and_two_workers(
+        self, registry_root, listing_samples
+    ):
+        in_process = self._metrics(
+            FleetDispatcher.in_process(
+                InferenceEngine.from_registry(
+                    registry_root, MODEL_NAME, similar_threshold=0.5
+                )
+            ),
+            listing_samples[0],
+        )
+        fleet = self._metrics(
+            FleetDispatcher(registry_root, MODEL_NAME, num_workers=2,
+                            similar_threshold=0.5),
+            listing_samples[0],
+        )
+        for section in ("requests", "cache", "batches", "latency_ms"):
+            assert set(in_process[section]) == set(fleet[section]), section
+        assert {"extract", "forward", "fingerprint", "request"} <= set(
+            fleet["latency_ms"]
+        )
+        for metrics in (in_process, fleet):
+            assert metrics["requests"]["total"] == 3
+            assert metrics["requests"]["failures_by_kind"] == {"parse": 1}
+            cache = metrics["cache"]
+            assert (cache["exact_hits"] + cache["similar_hits"]
+                    + cache["misses"]) == 3
+            assert metrics["latency_ms"]["extract"]["count"] >= 2
+        # One replica holds the cache the repeat hits.
+        assert in_process["cache"]["exact_hits"] == 1

@@ -16,7 +16,6 @@ from repro.serve import (
     ClassificationServer,
     FleetDispatcher,
     InferenceEngine,
-    build_fleet_server,
     build_server,
 )
 
@@ -24,8 +23,11 @@ from tests.serve.conftest import MODEL_NAME
 
 
 @contextlib.contextmanager
-def running_server(engine, **kwargs):
-    server = build_server(engine, **kwargs)
+def running_server(engine, max_batch_size=32, **kwargs):
+    server = build_server(
+        FleetDispatcher.in_process(engine, max_batch_size=max_batch_size),
+        **kwargs,
+    )
     with server:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -69,9 +71,7 @@ class TestEndToEnd:
         engine = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, cache_size=0
         )
-        with running_server(
-            engine, max_batch_size=6, max_wait_ms=500.0
-        ) as server:
+        with running_server(engine, max_batch_size=6) as server:
             statuses = [None] * len(samples)
             payloads = [None] * len(samples)
 
@@ -120,7 +120,7 @@ class TestEndToEnd:
     ):
         name, text = listing_samples[0]
         body = {"name": name, "asm": text}
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             _, first = request(server, "POST", "/classify", payload=body)
             _, second = request(server, "POST", "/classify", payload=body)
             _, metrics = request(server, "GET", "/metrics")
@@ -132,22 +132,18 @@ class TestEndToEnd:
 
 class TestEndpoints:
     def test_healthz(self, engine):
-        with running_server(
-            engine, max_batch_size=4, max_wait_ms=2.0
-        ) as server:
+        with running_server(engine, max_batch_size=4) as server:
             status, payload = request(server, "GET", "/healthz")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["model"] == f"{MODEL_NAME}@v1"
         assert payload["families"] == engine.family_names
         assert payload["uptime_seconds"] >= 0
-        assert payload["batching"] == {
-            "max_batch_size": 4, "max_wait_ms": 2.0,
-        }
+        assert payload["batching"] == {"max_batch_size": 4}
 
     def test_metrics_shape(self, engine, listing_samples):
         name, text = listing_samples[0]
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             request(
                 server, "POST", "/classify",
                 payload={"name": name, "asm": text},
@@ -162,7 +158,7 @@ class TestEndpoints:
             assert payload["latency_ms"][stage]["p50"] >= 0
 
     def test_malformed_sample_returns_422_with_kind(self, engine):
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             status, payload = request(
                 server, "POST", "/classify",
                 payload={"name": "junk", "asm": "not a listing at all"},
@@ -173,7 +169,7 @@ class TestEndpoints:
         assert payload["error"]["detail"]
 
     def test_bad_requests_return_400(self, engine):
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             status, payload = request(
                 server, "POST", "/classify", raw_body=b"{not json"
             )
@@ -204,7 +200,7 @@ class TestEndpoints:
             )[0] == 404
 
     def test_rollout_endpoints_refuse_single_process_mode(self, engine):
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             for method, path in (
                 ("GET", "/rollout/status"),
                 ("POST", "/rollout/start"),
@@ -227,7 +223,7 @@ class TestRestartRebind:
         self, engine, listing_samples
     ):
         name, text = listing_samples[0]
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             port = server.port
             # Serve one real request so a connection socket actually
             # cycled through this port before the restart.
@@ -238,7 +234,7 @@ class TestRestartRebind:
             assert status == 200
         # Rebinding the exact port right after close must not raise
         # EADDRINUSE while the old sockets sit in TIME_WAIT.
-        with running_server(engine, port=port, max_wait_ms=0.0) as reborn:
+        with running_server(engine, port=port) as reborn:
             assert reborn.port == port
             assert request(reborn, "GET", "/healthz")[0] == 200
 
@@ -254,7 +250,9 @@ class TestGracefulShutdown:
         samples = listing_samples[:6]
         # max_batch_size=1 serializes the forwards, so most requests are
         # still queued inside the batcher when shutdown begins.
-        server = build_server(engine, max_batch_size=1, max_wait_ms=0.0)
+        server = build_server(
+            FleetDispatcher.in_process(engine, max_batch_size=1)
+        )
         statuses = [None] * len(samples)
 
         def classify(index, name, text):
@@ -294,7 +292,7 @@ def running_fleet_server(registry_root, **kwargs):
     dispatcher = FleetDispatcher(
         registry_root, MODEL_NAME, num_workers=2, cache_size=0,
     )
-    server = build_fleet_server(dispatcher, **kwargs)
+    server = build_server(dispatcher, **kwargs)
     with server:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -150,7 +150,7 @@ class TestHttpPayload:
         self, engine
     ):
         base_text, variant_text = _sample_pair()
-        with running_server(engine, max_wait_ms=0.0) as server:
+        with running_server(engine) as server:
             _, fresh = request(
                 server, "POST", "/classify",
                 payload={"name": "base", "asm": base_text},
@@ -191,8 +191,8 @@ class TestFleetPlumbing:
             fingerprint_iterations=2,
         )
         base_text, variant_text = _sample_pair()
-        (fresh,) = handler([("base", base_text)])
-        (similar,) = handler([("variant", variant_text)])
+        (fresh,), _ = handler([("base", base_text)])
+        (similar,), _ = handler([("variant", variant_text)])
         assert not fresh.similar
         assert similar.similar
         assert similar.similarity >= 0.45

@@ -8,17 +8,25 @@ and the supervision rules both the fleet and the extraction pool run on:
 deadlines, crash/startup classification, the stale-reply drop.
 """
 
+import itertools
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import repro
 from repro.exceptions import WorkerError, WorkerStartupError
-from repro.workers import RequestWorker, WorkerReply, resolve_entrypoint
+from repro.workers import (
+    InProcessWorker,
+    RequestWorker,
+    WorkerReply,
+    resolve_entrypoint,
+)
+from repro.workers import request as request_module
 from repro.workers.request import (
     CRASHED,
     REPLIED,
@@ -307,3 +315,54 @@ class TestSupervision:
                     os.kill(pid, signal.SIGKILL)
             parent.wait(timeout=30)
             parent.stdout.close()
+
+
+class TestInProcessWorker:
+    def test_serves_requests_on_a_thread_until_stopped(self):
+        # A lock cannot be pickled: init kwargs reach a thread by reference.
+        prefix = threading.Lock()
+        worker = InProcessWorker("echo", ECHO, {"prefix": prefix})
+        worker.start(wait_ready=30.0)
+        try:
+            assert worker.ready and worker.alive
+            assert worker.pid == os.getpid()
+            worker.send(1, "a")
+            event = next_event(worker)
+            assert event.kind == REPLIED
+            assert event.reply.value == f"{prefix}a"
+        finally:
+            worker.stop()
+        assert not worker.alive and worker.pid is None
+
+    def test_init_failure_raises_startup_error(self):
+        worker = InProcessWorker(
+            "doomed", "tests.serve.test_workers:failing_service", {}
+        )
+        with pytest.raises(WorkerStartupError, match="refusing to initialize"):
+            worker.start(wait_ready=30.0)
+        assert not worker.alive
+
+    def test_a_finished_body_is_visible_as_pipe_eof(self):
+        worker = InProcessWorker("echo", ECHO, {})
+        worker.start(wait_ready=30.0)
+        worker.send(1, "x")
+        assert next_event(worker).kind == REPLIED
+        worker.conn.send(None)  # ends the body behind the handle's back
+        event = next_event(worker)
+        assert event.kind == CRASHED
+        assert worker.conn is None and not worker.alive
+
+    def test_does_not_watch_the_parent_pid(self, monkeypatch):
+        ppids = itertools.count(10_000)
+        monkeypatch.setattr(request_module, "_ORPHAN_CHECK_SECONDS", 0.01)
+        monkeypatch.setattr(os, "getppid", lambda: next(ppids))
+        worker = InProcessWorker("echo", ECHO, {})
+        worker.start(wait_ready=30.0)
+        try:
+            time.sleep(0.2)  # idle through many would-be orphan checks
+            worker.send(1, "still here")
+            event = next_event(worker)
+            assert event.kind == REPLIED
+            assert event.reply.value == "still here"
+        finally:
+            worker.stop()

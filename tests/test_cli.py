@@ -340,10 +340,10 @@ class TestClassify:
 
         args = build_parser().parse_args(
             ["serve", "--registry", "r", "--model", "demo",
-             "--port", "0", "--max-batch-size", "8", "--max-wait-ms", "2"]
+             "--port", "0", "--max-batch-size", "8"]
         )
         assert args.func is cmd_serve
-        assert (args.port, args.max_batch_size, args.max_wait_ms) == (0, 8, 2.0)
+        assert (args.port, args.max_batch_size) == (0, 8)
         # Single-process serving is the default: fleet mode is opt-in.
         assert args.workers == 0
 
