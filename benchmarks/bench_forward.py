@@ -131,9 +131,8 @@ def bench_inference(vertices: int, repeats: int, iterations: int) -> dict:
 def bench_training(corpus: int, epochs: int, repeats: int) -> dict:
     """Whole training runs, eager vs compiled, identical losses required.
 
-    Uniform graph sizes keep the number of distinct batch signatures at
-    two (full batch + remainder), so replay dominates from epoch two on
-    — the serving-retrain shape the tape is built for.
+    The first batch captures; every later one replays (uniform graph
+    sizes leave two batch shapes, full batch and remainder).
     """
     rng = np.random.default_rng(4)
     data = [_random_acfg(rng, 12, label=i % 4, density=0.2)

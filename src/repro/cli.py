@@ -382,8 +382,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         server.serve()
     except KeyboardInterrupt:
-        print("shutting down")
+        _farewell("shutting down")
     return 0
+
+
+def _farewell(line: str) -> None:
+    """Print ``line`` unless stdout is gone: a closed pipe (the reader
+    went first) must not turn an ordered shutdown into a failure."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the flush at exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
@@ -890,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--compiled", action="store_true",
                                 default=True,
                                 help="serve forwards through the compiled "
-                                     "tape cache (default; float64 replay "
+                                     "tape (default; float64 replay "
                                      "is bit-exact with eager)")
         sub_parser.add_argument("--no-compiled", dest="compiled",
                                 action="store_false",

@@ -23,7 +23,7 @@ from repro.nn.loss import cross_entropy, nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.pooling import AdaptiveMaxPool2d, MaxPool2d
-from repro.nn.tape import CompiledModel, TapeExecutor, batch_signature, compile_output
+from repro.nn.tape import CompiledModel, TapeExecutor, compile_output, program_key
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "Tensor",
     "CompiledModel",
     "TapeExecutor",
-    "batch_signature",
+    "program_key",
     "clip_grad_norm",
     "compile_output",
     "concatenate",

@@ -112,7 +112,7 @@ class _InferenceHandler:
         self, payload: List
     ) -> Tuple[List[ClassificationResult], Observations]:
         results = self.engine.classify_texts([tuple(pair) for pair in payload])
-        return results, self.engine.metrics.drain()
+        return results, self.engine.drain_metrics()
 
 
 def inference_service(
@@ -133,9 +133,9 @@ def inference_service(
     nothing callable crosses the pipe; the returned handler answers one
     ``[(name, text), ...]`` batch per message.  Loading goes through the
     registry, so every replica independently verifies the archive's
-    integrity before serving.  The compiled tape cache lives inside this
+    integrity before serving.  The compiled tape lives inside this
     process, so a respawned worker simply re-captures on its first
-    batch of each shape.
+    batch.
     """
     kwargs = {}
     if fingerprint_iterations is not None:
@@ -265,8 +265,8 @@ class FleetDispatcher:
         mutually comparable.
     compiled, infer_dtype:
         Forwarded into each worker's :class:`InferenceEngine`; the tape
-        cache is per-process, so respawned replicas re-capture on their
-        first batch of each shape.
+        is per-process, so respawned replicas re-capture on their first
+        batch.
     engine:
         Serve this loaded engine on one replica thread instead (see
         :meth:`in_process`, which sets the matching knobs); the engine

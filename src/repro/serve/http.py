@@ -91,10 +91,13 @@ class ClassificationServer(ThreadingHTTPServer):
         # Ordered drain: (1) stop accepting new connections, (2) let the
         # backend finish every queued batch (handler threads parked in
         # submit() get their results and write their responses), (3)
-        # join handler threads and close the socket.
-        self.shutdown()
-        self.backend.stop()
-        self.server_close()
+        # join handler threads and close the socket -- also when a
+        # second Ctrl-C interrupts the drain.
+        try:
+            self.shutdown()
+            self.backend.stop()
+        finally:
+            self.server_close()
 
     def serve(self) -> None:
         """Run until interrupted (the CLI entry point)."""

@@ -26,7 +26,7 @@ from repro.core.batched import GraphBatch
 from repro.core.sort_pooling import sort_pool, sort_vertex_order
 from repro.features.acfg import ACFG
 from repro.nn import functional as F
-from repro.nn.ops import OPS
+from repro.nn.ops import OPS, Workspace
 from repro.nn.tape import compile_output
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
@@ -316,3 +316,30 @@ def test_conv2d_amp_pools_nan_like_the_per_graph_pool():
         convolved = F.conv2d(image, weight, bias, padding=1)
         expected = F.adaptive_max_pool2d(convolved, (3, 3)).data[0]
         np.testing.assert_array_equal(fused.data[graph], expected)
+
+
+@pytest.mark.parametrize("kind", ["sort_pool", "conv2d_amp"])
+def test_pooling_head_replays_across_shapes_with_one_workspace(kind):
+    # One Workspace serves batches of different shapes, larger and
+    # smaller than the one before and with the same vertex and graph
+    # counts but other boundaries: its plans and arrays (and the conv
+    # image's zero padding) must follow the boundaries.
+    rng = np.random.default_rng(12)
+    weight, bias = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
+    op, state = OPS[kind], Workspace()
+    for bounds in (AMP_BOUNDS, (0, 3, 4), AMP_BOUNDS, (0, 7, 8, 10, 15), (0, 9)):
+        x = rng.standard_normal((bounds[-1], 5))
+        if kind == "sort_pool":
+            ins, meta = [x], {"k": SORT_K, "boundaries": bounds}
+        else:
+            ins, meta = [x, weight, bias], {"grid": (3, 3), "boundaries": bounds}
+        fresh: dict = {}
+        expected = op.forward(ins, None, meta, fresh)
+        out = np.empty_like(expected)
+        assert op.forward(ins, out, meta, state) is out
+        assert_bit_exact(out, expected)
+        g = rng.standard_normal(expected.shape)
+        need = [True] * len(ins)
+        for got, want in zip(op.backward(g, ins, out, meta, state, need),
+                             op.backward(g, ins, expected, meta, fresh, need)):
+            assert_bit_exact(got, want)

@@ -3,8 +3,8 @@
 The contract under test is the one DESIGN.md pins down: float64 replay
 is *bit-exact* with the eager path (forward, loss, and every parameter
 gradient), float32 is an opt-in inference-only mode with a documented
-tolerance, and the signature cache re-captures exactly when the batch
-shape/mode/dtype changes.
+tolerance, one recorded program per mode and dtype serves batches of
+every shape, and its arena is bounded by the largest batch it has seen.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.core.dgcnn import POOLING_TYPES, ModelConfig, build_model
 from repro.exceptions import CompilationError, GradientError
 from repro.features.acfg import ACFG
 from repro.nn.loss import nll_loss
-from repro.nn.tape import CompiledModel, batch_signature
+from repro.nn.tape import CompiledModel, program_key
 from repro.train.trainer import Trainer, TrainingConfig
 
 NUM_ATTRIBUTES = 11
@@ -208,48 +208,99 @@ class TestFloat32Inference:
         )
 
 
+def shape_sequence(count=22, seed=29):
+    """Batch sizes with distinct boundaries: large, small, large, two
+    batches with the same vertex and graph counts, then mixed."""
+    rng = np.random.default_rng(seed)
+    sequence = [(9, 12, 7, 11, 10, 8), (1,), (12, 3, 10, 9, 11, 6), (5, 3), (3, 5)]
+    while len(sequence) < count:
+        sizes = tuple(int(n) for n in rng.integers(1, 13, int(rng.integers(1, 7))))
+        if sizes not in sequence:
+            sequence.append(sizes)
+    return sequence
+
+
+class TestFloat32AcrossShapes:
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_one_program_serves_every_shape(self, pooling):
+        rng = np.random.default_rng(43)
+        model = build_model(small_config(pooling)).eval()
+        compiled = CompiledModel(model, dtype="float32")
+        for sizes in shape_sequence():
+            batch = random_batch(rng, sizes)
+            np.testing.assert_allclose(
+                compiled.infer(batch).astype(np.float64), model(batch).data,
+                atol=FLOAT32_ATOL,
+            )
+        stats = compiled.stats()
+        assert stats["programs"] == 1 and stats["captures"] == 1
+
+
 class TestSignatureCache:
-    def test_signature_tracks_shape_mode_and_dtype(self):
+    """One program per (mode, dtype, attribute width, normalization)."""
+
+    def test_program_key_ignores_shape_and_tracks_mode_and_dtype(self):
         rng = np.random.default_rng(13)
         batch = random_batch(rng)
-        base = batch_signature(batch, False, np.dtype(np.float64))
-        assert base == batch_signature(batch, False, np.dtype(np.float64))
-        assert base != batch_signature(batch, True, np.dtype(np.float64))
-        assert base != batch_signature(batch, False, np.dtype(np.float32))
-        other = random_batch(rng, sizes=(3, 5, 2, 7))
-        assert base != batch_signature(other, False, np.dtype(np.float64))
+        base = program_key(batch, False, np.dtype(np.float64))
+        other = random_batch(rng, sizes=(3, 5, 2, 7, 1))
+        assert base == program_key(other, False, np.dtype(np.float64))
+        assert base != program_key(batch, True, np.dtype(np.float64))
+        assert base != program_key(batch, False, np.dtype(np.float32))
+        raw = GraphBatch([random_acfg(rng, 4)], normalize_propagation=False)
+        assert base != program_key(raw, False, np.dtype(np.float64))
 
-    def test_shape_change_recaptures_and_both_entries_replay(self):
-        rng = np.random.default_rng(17)
-        model = build_model(small_config("sort_weighted")).eval()
-        compiled = CompiledModel(model)
-        small, large = random_batch(rng), random_batch(rng, sizes=(4, 4, 4))
-        compiled.forward(small)
-        compiled.forward(large)  # different boundaries -> new capture
-        assert compiled.stats()["captures"] == 2
-        for batch in (random_batch(rng), random_batch(rng, sizes=(4, 4, 4))):
-            assert np.array_equal(compiled.forward(batch), model(batch).data)  # repro: allow[float-equality] — bit-exactness is the contract under test
-        assert compiled.stats()["replays"] == 2
-
-    def test_lru_eviction_is_bounded_and_recaptures(self):
-        rng = np.random.default_rng(19)
-        model = build_model(small_config("adaptive")).eval()
-        compiled = CompiledModel(model, max_entries=1)
-        a, b = random_batch(rng), random_batch(rng, sizes=(4, 4, 4))
-        compiled.forward(a)
-        compiled.forward(b)   # evicts a's tape
-        compiled.forward(a)   # re-captures, still correct
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_one_program_replays_every_shape_bit_exact(self, pooling, training):
+        # Large -> small -> large and then mixed shapes through one
+        # program: every forward and every parameter gradient must equal
+        # the eager run's, dropout stream included.
+        rng = np.random.default_rng(31)
+        dropout = 0.3 if training else 0.0
+        eager_model = build_model(small_config(pooling, dropout=dropout)).train(training)
+        compiled_model = build_model(small_config(pooling, dropout=dropout)).train(training)
+        compiled = CompiledModel(compiled_model)
+        sequence = shape_sequence()
+        assert len({tuple(random_batch(rng, s).boundaries) for s in sequence}) >= 20
+        for sizes in sequence:
+            batch = random_batch(rng, sizes)
+            labels = rng.integers(0, NUM_CLASSES, len(sizes))
+            expected_out, expected = eager_gradients(eager_model, batch, labels)
+            actual_out, actual = compiled_gradients(compiled, compiled_model, batch, labels)
+            assert np.array_equal(actual_out, expected_out), sizes  # repro: allow[float-equality] — bit-exactness is the contract under test
+            assert expected.keys() == actual.keys()
+            for name in expected:
+                assert np.array_equal(actual[name], expected[name]), (sizes, name)  # repro: allow[float-equality] — bit-exactness is the contract under test
         stats = compiled.stats()
-        assert stats["entries"] == 1
-        assert stats["captures"] == 3 and stats["evictions"] == 2
-        assert np.array_equal(compiled.forward(a), model(a).data)  # repro: allow[float-equality] — bit-exactness is the contract under test
+        assert stats["programs"] == 1
+        assert stats["captures"] == 1 and stats["replays"] == len(sequence) - 1
+
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_arena_is_bounded_by_the_largest_batch(self, pooling):
+        # The largest batch has the most graphs and each of them is
+        # larger than any graph of the other batches, so it needs the
+        # most room in every slot and workspace array.
+        largest = (16,) * 8
+
+        def arena_after(sequence):
+            rng = np.random.default_rng(37)
+            model = build_model(small_config(pooling, dropout=0.3)).train(True)
+            compiled = CompiledModel(model)
+            for sizes in sequence:
+                batch = random_batch(rng, sizes)
+                compiled_gradients(compiled, model, batch, rng.integers(0, NUM_CLASSES, len(sizes)))
+            return compiled.stats()["arena_bytes"]
+
+        mixed = shape_sequence()
+        held = arena_after(mixed[:10] + [largest] + mixed[10:])
+        alone = arena_after([largest, largest])  # capture, then one replay
+        assert 0 < held <= alone
 
     def test_rejects_bad_configuration(self):
         model = build_model(small_config("adaptive"))
         with pytest.raises(CompilationError):
             CompiledModel(model, dtype="float16")
-        with pytest.raises(CompilationError):
-            CompiledModel(model, max_entries=0)
 
     def test_backward_before_forward_raises(self):
         model = build_model(small_config("adaptive"))

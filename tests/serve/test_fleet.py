@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cfg import build_cfg_from_text
 from repro.exceptions import FleetError, ServeError, WorkerStartupError
 from repro.serve import FleetDispatcher, InferenceEngine, build_server
 from repro.testing.faults import FaultPlan
@@ -403,8 +404,11 @@ class TestMetricsParity:
                             similar_threshold=0.5),
             listing_samples[0],
         )
-        for section in ("requests", "cache", "batches", "latency_ms"):
+        for section in ("requests", "cache", "batches", "latency_ms",
+                        "tape", "collate"):
             assert set(in_process[section]) == set(fleet[section]), section
+        assert set(fleet["tape"]) == {"captures", "replays"}
+        assert set(fleet["collate"]) == {"hits", "misses"}
         assert {"extract", "forward", "fingerprint", "request"} <= set(
             fleet["latency_ms"]
         )
@@ -417,3 +421,26 @@ class TestMetricsParity:
             assert metrics["latency_ms"]["extract"]["count"] >= 2
         # One replica holds the cache the repeat hits.
         assert in_process["cache"]["exact_hits"] == 1
+
+    def test_distinct_sizes_capture_once_then_replay(
+        self, registry_root, listing_samples
+    ):
+        # One recorded program serves every batch shape: k misses of k
+        # different sizes are one capture and k - 1 replays.
+        engine = InferenceEngine.from_registry(registry_root, MODEL_NAME)
+        samples, sizes = [], set()
+        for name, text in listing_samples:
+            vertices = build_cfg_from_text(text, name=name).num_vertices
+            if vertices not in sizes:
+                sizes.add(vertices)
+                samples.append((name, text))
+        k = len(samples)
+        assert k >= 3
+        with serving(FleetDispatcher.in_process(engine)) as server:
+            for name, text in samples:
+                status, _ = request(server, "POST", "/classify",
+                                    payload={"name": name, "asm": text})
+                assert status == 200
+            _, metrics = request(server, "GET", "/metrics")
+        assert metrics["tape"] == {"captures": 1, "replays": k - 1}
+        assert metrics["collate"]["misses"] == k

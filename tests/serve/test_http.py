@@ -7,6 +7,10 @@ bit."""
 import contextlib
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -339,3 +343,45 @@ class TestFleetHTTP:
                                    payload={})
             assert status == 409
             assert "no active rollout" in body["error"]
+
+
+class TestCliShutdown:
+    """``repro.cli serve`` shuts down in order when its stdout is gone."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_sigint_after_stdout_closes_exits_cleanly(self, registry_root, workers):
+        source = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [os.path.abspath(source), os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--registry", registry_root,
+             "--model", MODEL_NAME, "--workers", str(workers), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = [process.stdout.readline() for _ in range(2)]
+            assert banner[1].startswith("Endpoints"), banner
+            port = int(banner[0].split("http://")[1].split()[0].rsplit(":", 1)[1])
+            deadline = time.monotonic() + 60
+            while True:  # serving, not just bound: the drain has work to stop
+                try:
+                    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+                    connection.request("GET", "/healthz")
+                    if connection.getresponse().status == 200:
+                        break
+                except OSError:
+                    pass
+                finally:
+                    connection.close()
+                assert time.monotonic() < deadline, "server never became healthy"
+                time.sleep(0.1)
+            process.stdout.close()  # the reader goes away
+            process.send_signal(signal.SIGINT)
+            _, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
