@@ -50,7 +50,7 @@ def _random_acfg(rng, n: int, label: int = 0, density: float = 0.15) -> ACFG:
     adjacency = (rng.random((n, n)) < density).astype(float)
     np.fill_diagonal(adjacency, 0.0)
     return ACFG(
-        adjacency=adjacency,
+        edges=np.stack(np.nonzero(adjacency)),
         attributes=rng.standard_normal((n, 11)),
         label=label,
     )

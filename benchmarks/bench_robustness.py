@@ -100,7 +100,7 @@ def _attack(magic: Magic, acfgs, epsilon: float, steps: int,
 
 def _all_valid(outcome: AttackOutcome) -> bool:
     return all(
-        is_semantically_valid(graph.attributes, graph.adjacency)
+        is_semantically_valid(graph.attributes, graph.out_degrees())
         for graph in outcome.adversarial_acfgs
     )
 

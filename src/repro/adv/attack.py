@@ -144,25 +144,6 @@ def _mutable_mask(num_channels: int) -> np.ndarray:
     )
 
 
-def _with_attributes(
-    acfg: ACFG, attributes: np.ndarray, label: Optional[int] = None
-) -> ACFG:
-    """A copy of ``acfg`` with new attributes, sharing cached operators.
-
-    The adjacency is identical, so the cached CSR propagation operators
-    are shared instead of being re-factorized on every PGD step.
-    """
-    clone = ACFG(
-        adjacency=acfg.adjacency,
-        attributes=attributes,
-        label=acfg.label if label is None else label,
-        name=acfg.name,
-    )
-    clone._propagation_sparse = acfg.propagation_operator_sparse()
-    clone._augmented_sparse = acfg.augmented_adjacency_sparse()
-    return clone
-
-
 def input_gradients(
     model: Module,
     acfgs: Sequence[ACFG],
@@ -287,7 +268,7 @@ class FeatureSpaceAttack:
         step_size = config.resolved_step_size
         for _ in range(config.steps):
             adversarial = [
-                _with_attributes(graph, x)
+                graph.replace(attributes=x)
                 for graph, x in zip(scaled, current)
             ]
             gradients, boundaries, _, probs = input_gradients(
@@ -310,7 +291,7 @@ class FeatureSpaceAttack:
         # Last-iterate check, then settle each sample on its first
         # label-flipping iterate (or the final one if it never flipped).
         final_eval = [
-            _with_attributes(graph, x) for graph, x in zip(scaled, current)
+            graph.replace(attributes=x) for graph, x in zip(scaled, current)
         ]
         final_probs = self.model.predict_proba(
             GraphBatch(
@@ -327,11 +308,10 @@ class FeatureSpaceAttack:
         ]
 
         adversarial_acfgs = [
-            _with_attributes(
-                acfg,
-                project_attributes(
+            acfg.replace(
+                attributes=project_attributes(
                     self.scaler.inverse_transform_matrix(x),
-                    acfg.adjacency,
+                    acfg.out_degrees(),
                     lower=bounds[0],
                     upper=bounds[1],
                 ),
@@ -395,7 +375,7 @@ class FeatureSpaceAttack:
         for graph, x, start, bounds in zip(scaled, current, origin, raw_bounds):
             raw = self.scaler.inverse_transform_matrix(x)
             raw = project_attributes(
-                raw, graph.adjacency, lower=bounds[0], upper=bounds[1]
+                raw, graph.out_degrees(), lower=bounds[0], upper=bounds[1]
             )
             back = self.scaler.transform_matrix(raw)
             projected.append(back * mask + start * (1.0 - mask))
@@ -451,7 +431,7 @@ def perturb_batch_scaled(
     attack_loss = float("nan")
     for _ in range(steps):
         adversarial = [
-            _with_attributes(graph, x) for graph, x in zip(acfgs, current)
+            graph.replace(attributes=x) for graph, x in zip(acfgs, current)
         ]
         gradients, boundaries, attack_loss, _ = input_gradients(
             model, adversarial, labels
@@ -467,6 +447,6 @@ def perturb_batch_scaled(
                 origin[index] + epsilon,
             )
     attacked = [
-        _with_attributes(graph, x) for graph, x in zip(acfgs, current)
+        graph.replace(attributes=x) for graph, x in zip(acfgs, current)
     ]
     return attacked, attack_loss

@@ -46,8 +46,8 @@ def acfg_to_feature_vector(acfg: ACFG) -> np.ndarray:
     if attributes.size == 0:
         raise FeatureExtractionError(f"{acfg.name!r}: no attributes to aggregate")
     n = acfg.num_vertices
-    out_degrees = acfg.adjacency.sum(axis=1)
-    num_edges = float(acfg.adjacency.sum())
+    out_degrees = acfg.out_degrees()
+    num_edges = float(acfg.num_edges)
     density = num_edges / (n * n) if n else 0.0
     parts = [
         attributes.sum(axis=0),

@@ -5,16 +5,15 @@ The CFG is the central data structure of MAGIC.  A vertex is a
 instruction of ``u`` falls through to the first instruction of ``v`` or
 branches to some instruction in ``v`` (Section II-A).
 
-The graph exposes the matrices DGCNN consumes (adjacency ``A``, augmented
-adjacency ``Â = A + I``, augmented degree ``D̂``) and a
-:meth:`to_networkx` bridge for analysis and visualisation.
+The graph numbers its vertices in address order (:meth:`vertex_index`);
+:meth:`repro.features.acfg.ACFG.from_cfg` turns :meth:`edges` into the
+edge list DGCNN's operators ``Â = A + I`` and ``D̂^-1 Â`` are built
+from.  :meth:`to_networkx` bridges to analysis and visualisation.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.cfg.basic_block import BasicBlock
 from repro.exceptions import CfgConstructionError
@@ -126,35 +125,11 @@ class ControlFlowGraph:
         return sum(len(block) for block in self._blocks.values())
 
     # ------------------------------------------------------------------
-    # matrix views (Section III-A notation)
+    # vertex numbering (Section III-A notation)
 
     def vertex_index(self) -> Dict[int, int]:
         """Map block start address -> dense vertex index (address order)."""
         return {addr: i for i, addr in enumerate(sorted(self._blocks))}
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """The (dense) adjacency matrix ``A`` in address order.
-
-        ``A[i, j] == 1`` iff there is an edge from vertex ``i`` to vertex
-        ``j``.  ``A`` is generally *not* symmetric: the CFG is directed.
-        """
-        index = self.vertex_index()
-        matrix = np.zeros((len(index), len(index)), dtype=np.float64)
-        rows = [index[src] for src, dsts in self._successors.items() for _ in dsts]
-        cols = [index[dst] for dsts in self._successors.values() for dst in dsts]
-        matrix[rows, cols] = 1.0
-        return matrix
-
-    def augmented_adjacency_matrix(self) -> np.ndarray:
-        """``Â = A + I``: self-loops let attributes propagate to self."""
-        matrix = self.adjacency_matrix()
-        np.fill_diagonal(matrix, matrix.diagonal() + 1.0)
-        return matrix
-
-    def augmented_degree_matrix(self) -> np.ndarray:
-        """Diagonal ``D̂`` with ``D̂[i, i] = sum_j Â[i, j]``."""
-        augmented = self.augmented_adjacency_matrix()
-        return np.diag(augmented.sum(axis=1))
 
     # ------------------------------------------------------------------
     # interop

@@ -8,7 +8,8 @@ formats:
   for caching extracted CFGs (the paper caches 17 hours of extraction).
 * **Edge-list with attributes** — a compact text format carrying only the
   graph structure and pre-computed block attribute vectors, mirroring the
-  shape of the YANCFG distribution where raw code is unavailable.
+  shape of the YANCFG distribution where raw code is unavailable.  Its
+  edges are the ``(2, E)`` array an :class:`~repro.features.acfg.ACFG` holds.
 """
 
 from __future__ import annotations
@@ -103,25 +104,23 @@ def load_cfg(path: str) -> ControlFlowGraph:
 
 
 def acfg_to_text(
-    adjacency: np.ndarray,
+    edges: np.ndarray,
     attributes: np.ndarray,
     label: Optional[str] = None,
 ) -> str:
     """Serialize a pre-attributed graph to the compact text format.
 
     Line 1: ``n c [label]``; next ``n`` lines: attribute vectors; then one
-    line per edge: ``src dst`` (dense vertex indices).
+    line per edge: ``src dst`` (dense vertex indices), in the order of the
+    ``(2, E)`` ``edges`` array (an ACFG's are sorted by ``(src, dst)``).
     """
     n, c = attributes.shape
-    if adjacency.shape != (n, n):
-        raise SerializationError(
-            f"adjacency {adjacency.shape} does not match {n} attribute rows"
-        )
+    if edges.ndim != 2 or edges.shape[0] != 2:
+        raise SerializationError(f"edges must have shape (2, E), got {edges.shape}")
     lines = [f"{n} {c}" + (f" {label}" if label else "")]
     for row in attributes:
         lines.append(" ".join(repr(float(v)) for v in row))
-    sources, destinations = np.nonzero(adjacency)
-    for src, dst in zip(sources.tolist(), destinations.tolist()):
+    for src, dst in zip(edges[0].tolist(), edges[1].tolist()):
         lines.append(f"{src} {dst}")
     return "\n".join(lines) + "\n"
 
@@ -129,7 +128,8 @@ def acfg_to_text(
 def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     """Inverse of :func:`acfg_to_text`.
 
-    Returns ``(adjacency, attributes, label)``.
+    Returns ``(edges, attributes, label)``; ``edges`` is ``(2, E)`` int64 in
+    file order, and :class:`~repro.features.acfg.ACFG` collapses duplicates.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -154,7 +154,7 @@ def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
                 f"attribute row {i} has {len(values)} values, expected {c}"
             )
         attributes[i] = [float(v) for v in values]
-    adjacency = np.zeros((n, n), dtype=np.float64)
+    pairs = []
     for line in lines[1 + n:]:
         parts = line.split()
         if len(parts) != 2:
@@ -162,5 +162,6 @@ def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
         src, dst = int(parts[0]), int(parts[1])
         if not (0 <= src < n and 0 <= dst < n):
             raise SerializationError(f"edge ({src}, {dst}) out of range for n={n}")
-        adjacency[src, dst] = 1.0
-    return adjacency, attributes, label
+        pairs.append((src, dst))
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return edges, attributes, label

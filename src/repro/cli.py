@@ -640,7 +640,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         [record.perturbation_linf for record in outcome.records],
     )
     all_valid = all(
-        is_semantically_valid(graph.attributes, graph.adjacency)
+        is_semantically_valid(graph.attributes, graph.out_degrees())
         for graph in outcome.adversarial_acfgs
     )
     print(f"Feature-space PGD: epsilon={args.epsilon}, steps={args.steps}")

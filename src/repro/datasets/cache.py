@@ -56,7 +56,7 @@ def save_dataset(dataset: MalwareDataset, directory: str) -> None:
         records = []
         for index, acfg in enumerate(dataset.acfgs):
             filename = f"{index:06d}.acfg"
-            text = acfg_to_text(acfg.adjacency, acfg.attributes)
+            text = acfg_to_text(acfg.edges, acfg.attributes)
             with open(os.path.join(staging, filename), "w",
                       encoding="utf-8") as fh:
                 fh.write(text)
@@ -143,10 +143,10 @@ def load_dataset(directory: str) -> MalwareDataset:
                 f"corrupt sample file {path}: sha256 mismatch against the "
                 "manifest (cache was modified or torn after saving)"
             )
-        adjacency, attributes, _ = acfg_from_text(text)
+        edges, attributes, _ = acfg_from_text(text)
         acfgs.append(
             ACFG(
-                adjacency=adjacency,
+                edges=edges,
                 attributes=attributes,
                 label=label,
                 name=record["name"],

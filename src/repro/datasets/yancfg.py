@@ -207,7 +207,6 @@ def generate_yancfg_dataset(
             f"total={total} too small for {len(YANCFG_FAMILIES)} families"
         )
     counts = family_sample_counts(total, minimum_per_family)
-    names: List[str] = []
     acfgs_raw: List[ACFG] = []
     labels: List[int] = []
     for label, family in enumerate(YANCFG_FAMILIES):
@@ -217,25 +216,15 @@ def generate_yancfg_dataset(
                 np.random.SeedSequence([seed, 7000 + label, index])
             )
             listing = ProgramGenerator(profile, rng).generate_listing()
-            name = f"{family}_{index:05d}"
-            cfg = build_cfg_from_text(listing, name=name)
+            cfg = build_cfg_from_text(listing, name=f"{family}_{index:05d}")
             acfgs_raw.append(ACFG.from_cfg(cfg))
-            names.append(name)
             labels.append(label)
 
     if label_noise:
         noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 99991]))
         labels = _apply_label_noise(labels, YANCFG_FAMILIES, noise_rng)
 
-    acfgs = [
-        ACFG(
-            adjacency=acfg.adjacency,
-            attributes=acfg.attributes,
-            label=label,
-            name=name,
-        )
-        for acfg, label, name in zip(acfgs_raw, labels, names)
-    ]
+    acfgs = [acfg.replace(label=label) for acfg, label in zip(acfgs_raw, labels)]
     return MalwareDataset(
         acfgs=acfgs, family_names=list(YANCFG_FAMILIES), name="YANCFG-synthetic"
     )

@@ -195,16 +195,16 @@ def _worker_cfg_json(item: Tuple, ctx: WorkerContext) -> Dict:
 
 def _encode_acfg(acfg: ACFG) -> Dict:
     return {
-        "record": acfg_to_text(acfg.adjacency, acfg.attributes),
+        "record": acfg_to_text(acfg.edges, acfg.attributes),
         "label": acfg.label,
         "name": acfg.name,
     }
 
 
 def _decode_acfg(payload: Dict) -> ACFG:
-    adjacency, attributes, _ = acfg_from_text(payload["record"])
+    edges, attributes, _ = acfg_from_text(payload["record"])
     return ACFG(
-        adjacency=adjacency,
+        edges=edges,
         attributes=attributes,
         label=payload["label"],
         name=payload["name"],

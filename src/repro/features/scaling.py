@@ -75,21 +75,13 @@ class AttributeScaler:
         return np.maximum(raw, 0.0)
 
     def transform(self, acfgs: Sequence[ACFG]) -> List[ACFG]:
-        """Scaled copies of ``acfgs``; adjacency and labels are shared."""
+        """Scaled copies of ``acfgs``; topology and labels are shared."""
         if not self.is_fitted:
             raise FeatureExtractionError("scaler used before fit()")
-        transformed = []
-        for acfg in acfgs:
-            scaled = self.transform_matrix(acfg.attributes)
-            transformed.append(
-                ACFG(
-                    adjacency=acfg.adjacency,
-                    attributes=scaled,
-                    label=acfg.label,
-                    name=acfg.name,
-                )
-            )
-        return transformed
+        return [
+            acfg.replace(attributes=self.transform_matrix(acfg.attributes))
+            for acfg in acfgs
+        ]
 
     def fit_transform(self, acfgs: Sequence[ACFG]) -> List[ACFG]:
         return self.fit(acfgs).transform(acfgs)

@@ -6,7 +6,8 @@ that claims to be an ACFG attribute matrix must satisfy a handful of
 semantic invariants:
 
 * every count channel is a non-negative integer;
-* ``offspring`` equals the vertex's out-degree in the adjacency matrix;
+* ``offspring`` equals the vertex's out-degree (its number of distinct
+  successors, :meth:`ACFG.out_degrees <repro.features.acfg.ACFG.out_degrees>`);
 * ``vertex_instructions`` equals ``total_instructions`` (both are
   defined as the block's instruction count);
 * the per-category instruction counts (transfer/call/arithmetic/compare/
@@ -82,20 +83,15 @@ def _channel_index(names: Sequence[str], name: str) -> Optional[int]:
         return None
 
 
-def _out_degrees(adjacency: np.ndarray) -> np.ndarray:
-    """Out-degree per vertex: the number of distinct successors."""
-    return np.count_nonzero(np.asarray(adjacency) != 0.0, axis=1).astype(
-        np.float64
-    )
-
-
 def semantic_violations(
     attributes: np.ndarray,
-    adjacency: np.ndarray,
+    out_degrees: np.ndarray,
     names: Optional[Sequence[str]] = None,
 ) -> List[SemanticViolation]:
     """All semantic-invariant violations of an attribute matrix.
 
+    ``out_degrees`` holds each vertex's number of distinct successors
+    (``acfg.out_degrees()``), the structural value of ``offspring``.
     ``names`` defaults to the live attribute registry; pass it explicitly
     when validating matrices extracted under a different channel set.
     """
@@ -137,7 +133,7 @@ def semantic_violations(
 
     offspring = _channel_index(names, "offspring")
     if offspring is not None:
-        degrees = _out_degrees(adjacency)
+        degrees = np.asarray(out_degrees, dtype=np.float64)
         for vertex in np.nonzero(
             np.abs(attributes[:, offspring] - degrees) > _INTEGER_TOLERANCE
         )[0]:
@@ -185,12 +181,12 @@ def semantic_violations(
 
 def validate_attributes(
     attributes: np.ndarray,
-    adjacency: np.ndarray,
+    out_degrees: np.ndarray,
     name: str = "",
     names: Optional[Sequence[str]] = None,
 ) -> None:
     """Raise :class:`FeatureExtractionError` on any semantic violation."""
-    violations = semantic_violations(attributes, adjacency, names=names)
+    violations = semantic_violations(attributes, out_degrees, names=names)
     if violations:
         shown = "; ".join(v.describe() for v in violations[:3])
         more = f" (+{len(violations) - 3} more)" if len(violations) > 3 else ""
@@ -202,16 +198,16 @@ def validate_attributes(
 
 def is_semantically_valid(
     attributes: np.ndarray,
-    adjacency: np.ndarray,
+    out_degrees: np.ndarray,
     names: Optional[Sequence[str]] = None,
 ) -> bool:
     """``True`` when the matrix satisfies every ACFG invariant."""
-    return not semantic_violations(attributes, adjacency, names=names)
+    return not semantic_violations(attributes, out_degrees, names=names)
 
 
 def project_attributes(
     attributes: np.ndarray,
-    adjacency: np.ndarray,
+    out_degrees: np.ndarray,
     names: Optional[Sequence[str]] = None,
     lower: Optional[np.ndarray] = None,
     upper: Optional[np.ndarray] = None,
@@ -222,8 +218,8 @@ def project_attributes(
 
     1. round count channels to integers, clip at zero and (when given)
        into the per-element ``[lower, upper]`` raw-count box;
-    2. pin ``offspring`` to the adjacency out-degree (it is structural,
-       not free);
+    2. pin ``offspring`` to ``out_degrees`` (it is structural, not
+       free);
     3. raise ``total_instructions`` to cover the category-count sum and
        the one-instruction minimum;
     4. copy the result into ``vertex_instructions``.
@@ -273,7 +269,7 @@ def project_attributes(
 
     offspring = _channel_index(names, "offspring")
     if offspring is not None:
-        projected[:, offspring] = _out_degrees(adjacency)
+        projected[:, offspring] = out_degrees
 
     total = _channel_index(names, "total_instructions")
     category_columns = [

@@ -17,7 +17,7 @@ module computes a fingerprint that *survives* such mutations:
    vertex's radius-``k`` neighbourhood.  Two label streams run in
    parallel: an *attributed* stream seeded from the quantized buckets,
    and a *pure-structure* stream seeded from a constant.  Junk insertion
-   perturbs attributes but barely touches adjacency, so the structure
+   perturbs attributes but barely touches the edges, so the structure
    stream gives variants a high similarity floor, while distinct
    programs (different topology) diverge in both streams.
 3. **Multiset feature map.**  The fingerprint is the multiset of labels
@@ -36,8 +36,9 @@ the same ACFG produces the same fingerprint in every process, forever.
 Neighbour multisets are combined as *sums* of mixed labels (addition is
 commutative), so relabeling or reordering the vertices of a graph
 yields an identical fingerprint.  The whole relabeling runs as numpy
-array operations: fingerprinting must stay far cheaper than the forward
-pass it lets the serving tier skip.
+array operations over the ACFG's edge list, so a round costs O(n + E):
+fingerprinting must stay far cheaper than the forward pass it lets the
+serving tier skip.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def fingerprint_acfg(
             f"fingerprint iterations must be >= 0, got {iterations}"
         )
     n = acfg.num_vertices
-    adjacency = (np.asarray(acfg.adjacency) != 0).astype(np.uint64)
+    sources, destinations = acfg.edges
 
     # Attributed-stream seeds: each vertex's bucket tuple, columns
     # distinguished by per-column tags (channel 3's bucket must not be
@@ -243,9 +244,14 @@ def fingerprint_acfg(
             # commutative, so vertex order cannot influence the result,
             # and two different multisets colliding on their sum is a
             # ~2**-64 event.
+            # The sums are scatter-adds over the edge list, wrapping
+            # modulo 2**64 exactly as the dense uint64 product did.
             mixed = _mix64(labels)
-            out_sum = mixed @ adjacency.T
-            in_sum = mixed @ adjacency
+            out_sum = np.zeros_like(mixed)
+            in_sum = np.zeros_like(mixed)
+            for stream in range(2):  # 1-D ufunc.at is numpy's fast path
+                np.add.at(out_sum[stream], sources, mixed[stream, destinations])
+                np.add.at(in_sum[stream], destinations, mixed[stream, sources])
             labels = _mix64(
                 mixed * _ROLE_OWN + out_sum * _ROLE_OUT + in_sum * _ROLE_IN
             )

@@ -62,7 +62,7 @@ class TestFeatureSpaceAttack:
             attack.attack([])
         stripped = tiny_mskcfg.acfgs[0]
         unlabelled = type(stripped)(
-            adjacency=stripped.adjacency,
+            edges=stripped.edges,
             attributes=stripped.attributes,
             label=None,
             name=stripped.name,
@@ -72,7 +72,7 @@ class TestFeatureSpaceAttack:
 
     def test_all_adversarial_samples_semantically_valid(self, outcome):
         for graph in outcome.adversarial_acfgs:
-            assert is_semantically_valid(graph.attributes, graph.adjacency)
+            assert is_semantically_valid(graph.attributes, graph.out_degrees())
 
     def test_outcome_aligned_with_input(self, outcome, tiny_mskcfg):
         assert len(outcome.records) == len(tiny_mskcfg.acfgs)
@@ -117,7 +117,7 @@ class TestFeatureSpaceAttack:
 
     def test_adjacency_and_labels_untouched(self, outcome, tiny_mskcfg):
         for adv, clean in zip(outcome.adversarial_acfgs, tiny_mskcfg.acfgs):
-            np.testing.assert_array_equal(adv.adjacency, clean.adjacency)
+            np.testing.assert_array_equal(adv.edges, clean.edges)
             assert adv.label == clean.label
 
     def test_deterministic_under_fixed_seed(self, outcome, tiny_magic, tiny_mskcfg):

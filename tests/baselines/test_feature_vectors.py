@@ -8,13 +8,14 @@ from repro.baselines.feature_vectors import (
     dataset_to_matrix,
     standardize,
 )
-from repro.features.acfg import ACFG
+
+from tests.conftest import acfg_from_dense
 
 
 def make_acfg(n=4, c=3, label=1, seed=0):
     rng = np.random.default_rng(seed)
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
-    return ACFG(
+    return acfg_from_dense(
         adjacency=adjacency,
         attributes=rng.integers(0, 9, (n, c)).astype(float),
         label=label,

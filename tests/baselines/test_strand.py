@@ -5,12 +5,13 @@ import pytest
 
 from repro.baselines.strand import StrandClassifier, sequence_ngrams, tokenize_acfg
 from repro.exceptions import TrainingError
-from repro.features.acfg import ACFG
+
+from tests.conftest import acfg_from_dense
 
 
 def make_acfg(attributes, label=0):
     n = attributes.shape[0]
-    return ACFG(adjacency=np.zeros((n, n)), attributes=attributes, label=label)
+    return acfg_from_dense(adjacency=np.zeros((n, n)), attributes=attributes, label=label)
 
 
 class TestTokenization:

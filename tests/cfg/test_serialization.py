@@ -15,8 +15,9 @@ from repro.cfg.serialization import (
     save_cfg,
 )
 from repro.exceptions import SerializationError
+from repro.features.acfg import ACFG
 
-from tests.conftest import SAMPLE_ASM, SAMPLE_EDGES
+from tests.conftest import SAMPLE_ASM, SAMPLE_EDGES, acfg_from_dense, dense_adjacency
 
 
 class TestJsonRoundTrip:
@@ -61,23 +62,31 @@ class TestJsonRoundTrip:
 
 class TestAcfgTextFormat:
     def test_roundtrip(self):
-        adjacency = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+        edges = np.array([[0, 1, 2], [1, 2, 0]])
         attributes = np.array([[1.5, 2.0], [0.0, -3.25], [4.0, 0.5]])
-        text = acfg_to_text(adjacency, attributes, label="Ramnit")
-        adj2, attr2, label = acfg_from_text(text)
-        np.testing.assert_array_equal(adj2, adjacency)
+        text = acfg_to_text(edges, attributes, label="Ramnit")
+        assert text.endswith("\n0 1\n1 2\n2 0\n")
+        edges2, attr2, label = acfg_from_text(text)
+        np.testing.assert_array_equal(edges2, edges)
+        assert edges2.dtype == np.int64
         np.testing.assert_array_equal(attr2, attributes)
         assert label == "Ramnit"
 
     def test_roundtrip_without_label(self):
-        adjacency = np.zeros((2, 2))
+        edges = np.zeros((2, 0), dtype=np.int64)
         attributes = np.ones((2, 3))
-        _, _, label = acfg_from_text(acfg_to_text(adjacency, attributes))
+        edges2, _, label = acfg_from_text(acfg_to_text(edges, attributes))
         assert label is None
+        assert edges2.shape == (2, 0)
+
+    def test_duplicate_edge_lines_collapse(self):
+        edges, attributes, _ = acfg_from_text("2 1\n1.0\n1.0\n1 0\n0 1\n1 0\n")
+        acfg = ACFG(edges=edges, attributes=attributes)
+        np.testing.assert_array_equal(acfg.edges, [[0, 1], [1, 0]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SerializationError):
-            acfg_to_text(np.zeros((2, 3)), np.ones((2, 2)))
+            acfg_to_text(np.zeros((3, 2), dtype=np.int64), np.ones((2, 2)))
 
     def test_empty_record_rejected(self):
         with pytest.raises(SerializationError):
@@ -102,6 +111,7 @@ class TestAcfgTextFormat:
         rng = np.random.default_rng(seed)
         adjacency = (rng.random((n, n)) < 0.4).astype(float)
         attributes = np.round(rng.standard_normal((n, c)), 6)
-        adj2, attr2, _ = acfg_from_text(acfg_to_text(adjacency, attributes))
-        np.testing.assert_array_equal(adj2, adjacency)
+        acfg = acfg_from_dense(adjacency, attributes)
+        edges2, attr2, _ = acfg_from_text(acfg_to_text(acfg.edges, attributes))
+        np.testing.assert_array_equal(dense_adjacency(ACFG(edges2, attr2)), adjacency)
         np.testing.assert_allclose(attr2, attributes)

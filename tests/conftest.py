@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_mskcfg_dataset, generate_yancfg_dataset
+from repro.features.acfg import ACFG
 
 #: A hand-written listing with fully known CFG structure:
 #:
@@ -40,6 +41,23 @@ SAMPLE_EDGES = {
     (0x40100E, 0x401012),
     (0x401012, 0x401015),
 }
+
+
+def acfg_from_dense(adjacency, attributes, label=None, name=""):
+    """An ACFG whose edges are the non-zeros of a dense ``(n, n)`` matrix."""
+    return ACFG(edges=np.stack(np.nonzero(adjacency)), attributes=attributes,
+                label=label, name=name)
+
+
+def dense_adjacency(acfg: ACFG) -> np.ndarray:
+    """The float64 ``(n, n)`` adjacency matrix ``A`` of ``acfg``.
+
+    ``A[i, j] == 1`` iff the edge ``i -> j`` exists; this is the dense
+    form the ACFG held before it kept only its edge list.
+    """
+    matrix = np.zeros((acfg.num_vertices, acfg.num_vertices))
+    matrix[acfg.edges[0], acfg.edges[1]] = 1.0
+    return matrix
 
 
 @pytest.fixture

@@ -12,15 +12,16 @@ from repro.core.dgcnn import (
     build_model,
 )
 from repro.exceptions import ConfigurationError
-from repro.features.acfg import ACFG
 from repro.nn.loss import nll_loss
 from repro.nn.optim import Adam
+
+from tests.conftest import acfg_from_dense
 
 
 def random_acfg(rng, n, c=11, label=0):
     adjacency = (rng.random((n, n)) < 0.25).astype(float)
     np.fill_diagonal(adjacency, 0.0)
-    return ACFG(
+    return acfg_from_dense(
         adjacency=adjacency,
         attributes=rng.standard_normal((n, c)),
         label=label,

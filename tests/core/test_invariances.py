@@ -13,19 +13,20 @@ import numpy as np
 import pytest
 
 from repro.core.dgcnn import ModelConfig, build_model
-from repro.features.acfg import ACFG
+
+from tests.conftest import acfg_from_dense, dense_adjacency
 
 
 def random_acfg(rng, n=9, c=11):
     adjacency = (rng.random((n, n)) < 0.3).astype(float)
     np.fill_diagonal(adjacency, 0.0)
     attributes = rng.standard_normal((n, c))
-    return ACFG(adjacency=adjacency, attributes=attributes)
+    return acfg_from_dense(adjacency=adjacency, attributes=attributes)
 
 
 def permuted(acfg, permutation):
-    return ACFG(
-        adjacency=acfg.adjacency[np.ix_(permutation, permutation)],
+    return acfg_from_dense(
+        adjacency=dense_adjacency(acfg)[np.ix_(permutation, permutation)],
         attributes=acfg.attributes[permutation],
     )
 
@@ -92,8 +93,8 @@ class TestStructuralSensitivity:
             chain[i, i + 1] = 1.0
         dense = (np.random.default_rng(0).random((8, 8)) < 0.6).astype(float)
         np.fill_diagonal(dense, 0.0)
-        out_chain = model([ACFG(adjacency=chain, attributes=attributes)]).data
-        out_dense = model([ACFG(adjacency=dense, attributes=attributes)]).data
+        out_chain = model([acfg_from_dense(adjacency=chain, attributes=attributes)]).data
+        out_dense = model([acfg_from_dense(adjacency=dense, attributes=attributes)]).data
         assert not np.allclose(out_chain, out_dense, atol=1e-9)
 
     @pytest.mark.parametrize(
@@ -103,6 +104,6 @@ class TestStructuralSensitivity:
         model = make_model(pooling)
         model.eval()
         adjacency = (rng.random((8, 8)) < 0.3).astype(float)
-        a = ACFG(adjacency=adjacency, attributes=rng.standard_normal((8, 11)))
-        b = ACFG(adjacency=adjacency, attributes=rng.standard_normal((8, 11)))
+        a = acfg_from_dense(adjacency=adjacency, attributes=rng.standard_normal((8, 11)))
+        b = acfg_from_dense(adjacency=adjacency, attributes=rng.standard_normal((8, 11)))
         assert not np.allclose(model([a]).data, model([b]).data, atol=1e-9)

@@ -5,15 +5,16 @@ import pytest
 
 from repro.core.dgcnn import POOLING_TYPES, ModelConfig
 from repro.core.magic import Magic
-from repro.features.acfg import ACFG
 from repro.train.trainer import TrainingConfig
+
+from tests.conftest import acfg_from_dense
 
 
 def make_acfgs(rng, count=10, num_classes=3):
     acfgs = []
     for i in range(count):
         n = int(rng.integers(3, 8))
-        acfgs.append(ACFG(
+        acfgs.append(acfg_from_dense(
             adjacency=(rng.random((n, n)) < 0.3).astype(float),
             attributes=rng.standard_normal((n, 11)) + (i % num_classes),
             label=i % num_classes,

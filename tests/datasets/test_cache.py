@@ -31,7 +31,7 @@ class TestCacheRoundTrip:
         for original, reloaded in zip(tiny_mskcfg.acfgs, restored.acfgs):
             assert reloaded.label == original.label
             assert reloaded.name == original.name
-            np.testing.assert_array_equal(reloaded.adjacency, original.adjacency)
+            np.testing.assert_array_equal(reloaded.edges, original.edges)
             np.testing.assert_allclose(reloaded.attributes, original.attributes)
 
     def test_loaded_dataset_trains(self, tiny_mskcfg, tmp_path):

@@ -5,12 +5,13 @@ import pytest
 
 from repro.datasets.loader import MalwareDataset
 from repro.exceptions import DatasetError
-from repro.features.acfg import ACFG
+
+from tests.conftest import acfg_from_dense
 
 
 def make_dataset(labels, num_classes=3):
     acfgs = [
-        ACFG(
+        acfg_from_dense(
             adjacency=np.zeros((2, 2)),
             attributes=np.full((2, 2), float(i)),
             label=label,
@@ -25,7 +26,7 @@ def make_dataset(labels, num_classes=3):
 
 class TestValidation:
     def test_unlabelled_sample_rejected(self):
-        acfg = ACFG(adjacency=np.zeros((1, 1)), attributes=np.zeros((1, 1)))
+        acfg = acfg_from_dense(adjacency=np.zeros((1, 1)), attributes=np.zeros((1, 1)))
         with pytest.raises(DatasetError):
             MalwareDataset(acfgs=[acfg], family_names=["a", "b"])
 

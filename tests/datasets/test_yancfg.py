@@ -41,7 +41,7 @@ class TestGeneration:
         a = generate_yancfg_dataset(total=26, seed=2)
         b = generate_yancfg_dataset(total=26, seed=2)
         assert [x.label for x in a.acfgs] == [x.label for x in b.acfgs]
-        np.testing.assert_array_equal(a.acfgs[0].adjacency, b.acfgs[0].adjacency)
+        np.testing.assert_array_equal(a.acfgs[0].edges, b.acfgs[0].edges)
 
     def test_too_small_rejected(self):
         with pytest.raises(DatasetError):

@@ -36,7 +36,7 @@ def assert_reports_equal(a, b):
     assert [x.name for x in a.acfgs] == [x.name for x in b.acfgs]
     assert [x.label for x in a.acfgs] == [x.label for x in b.acfgs]
     for x, y in zip(a.acfgs, b.acfgs):
-        np.testing.assert_array_equal(x.adjacency, y.adjacency)
+        np.testing.assert_array_equal(x.edges, y.edges)
         np.testing.assert_array_equal(x.attributes, y.attributes)
     assert a.failures == b.failures
 

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FeatureExtractionError
-from repro.features.acfg import ACFG
 from repro.features.scaling import AttributeScaler
+
+from tests.conftest import acfg_from_dense
 
 
 def make_acfg(attributes, label=0):
     n = attributes.shape[0]
-    return ACFG(adjacency=np.zeros((n, n)), attributes=attributes, label=label)
+    return acfg_from_dense(adjacency=np.zeros((n, n)), attributes=attributes, label=label)
 
 
 class TestScaler:
@@ -41,7 +42,7 @@ class TestScaler:
         acfg = make_acfg(np.ones((2, 2)), label=5)
         scaled = AttributeScaler().fit_transform([acfg])[0]
         assert scaled.label == 5
-        np.testing.assert_array_equal(scaled.adjacency, acfg.adjacency)
+        np.testing.assert_array_equal(scaled.edges, acfg.edges)
 
     def test_original_not_mutated(self):
         attributes = np.ones((2, 2)) * 3

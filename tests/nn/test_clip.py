@@ -9,6 +9,8 @@ from repro.exceptions import ConfigurationError
 from repro.nn.clip import clip_grad_norm
 from repro.nn.layers import Parameter
 
+from tests.conftest import acfg_from_dense
+
 
 def param_with_grad(grad):
     p = Parameter(np.zeros_like(np.asarray(grad, dtype=float)))
@@ -51,13 +53,12 @@ class TestClipGradNorm:
 class TestTrainerIntegration:
     def test_training_with_clipping_runs(self, rng):
         from repro.core.dgcnn import ModelConfig, build_model
-        from repro.features.acfg import ACFG
         from repro.train.trainer import Trainer, TrainingConfig
 
         acfgs = []
         for i in range(8):
             n = 5
-            acfgs.append(ACFG(
+            acfgs.append(acfg_from_dense(
                 adjacency=(rng.random((n, n)) < 0.3).astype(float),
                 attributes=rng.standard_normal((n, 11)),
                 label=i % 2,

@@ -24,11 +24,12 @@ import pytest
 from repro.core.adaptive_pooling import conv2d_adaptive_max_pool
 from repro.core.batched import GraphBatch
 from repro.core.sort_pooling import sort_pool, sort_vertex_order
-from repro.features.acfg import ACFG
 from repro.nn import functional as F
 from repro.nn.ops import OPS, Workspace
 from repro.nn.tape import compile_output
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
+
+from tests.conftest import acfg_from_dense
 
 FLOAT32_ATOL = 1e-4
 VERTICES = (3, 4)
@@ -54,7 +55,7 @@ def graph_batch(seed: int) -> GraphBatch:
     for n in VERTICES:
         adjacency = (rng.random((n, n)) < 0.5).astype(float)
         np.fill_diagonal(adjacency, 0.0)
-        acfgs.append(ACFG(adjacency=adjacency, attributes=rng.standard_normal((n, 11))))
+        acfgs.append(acfg_from_dense(adjacency=adjacency, attributes=rng.standard_normal((n, 11))))
     return GraphBatch(acfgs)
 
 

@@ -13,10 +13,11 @@ import pytest
 from repro.core.batched import GraphBatch
 from repro.core.dgcnn import POOLING_TYPES, ModelConfig, build_model
 from repro.exceptions import CompilationError, GradientError
-from repro.features.acfg import ACFG
 from repro.nn.loss import nll_loss
 from repro.nn.tape import CompiledModel, program_key
 from repro.train.trainer import Trainer, TrainingConfig
+
+from tests.conftest import acfg_from_dense
 
 NUM_ATTRIBUTES = 11
 NUM_CLASSES = 4
@@ -29,7 +30,7 @@ FLOAT32_ATOL = 1e-4
 def random_acfg(rng, n, label=0):
     adjacency = (rng.random((n, n)) < 0.3).astype(float)
     np.fill_diagonal(adjacency, 0.0)
-    return ACFG(
+    return acfg_from_dense(
         adjacency=adjacency,
         attributes=rng.standard_normal((n, NUM_ATTRIBUTES)),
         label=label,

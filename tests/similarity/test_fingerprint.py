@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimilarityError
-from repro.features.acfg import ACFG
 from repro.similarity import (
     CfgFingerprint,
     fingerprint_acfg,
     quantize_attributes,
 )
+
+from tests.conftest import acfg_from_dense, dense_adjacency
 
 from tests.similarity.conftest import extract_acfg
 
@@ -32,13 +33,13 @@ def _random_acfg(seed, num_vertices=12):
     attributes = rng.integers(
         0, 200, size=(num_vertices, 11)
     ).astype(np.float64)
-    return ACFG(adjacency=adjacency, attributes=attributes, label=0,
-                name=f"random-{seed}")
+    return acfg_from_dense(adjacency=adjacency, attributes=attributes, label=0,
+                           name=f"random-{seed}")
 
 
 def _permuted(acfg, permutation):
-    return ACFG(
-        adjacency=acfg.adjacency[np.ix_(permutation, permutation)],
+    return acfg_from_dense(
+        adjacency=dense_adjacency(acfg)[np.ix_(permutation, permutation)],
         attributes=acfg.attributes[permutation],
         label=acfg.label,
         name=acfg.name,

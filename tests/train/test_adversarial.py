@@ -109,7 +109,7 @@ class TestPerturbBatchScaled:
             assert delta.max() <= 0.5 + 1e-9
             # offspring is structural and must never move.
             assert delta[:, offspring].max() == 0.0  # repro: allow[float-equality] — frozen channel must be bit-identical
-            np.testing.assert_array_equal(adv.adjacency, clean.adjacency)
+            np.testing.assert_array_equal(adv.edges, clean.edges)
 
     def test_no_rng_starts_from_clean_sample(self, rng):
         acfgs = AttributeScaler().fit_transform(toy_dataset(rng))[:4]

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TrainingError
-from repro.features.acfg import ACFG
 from repro.train.batching import BatchCollator, collate_graphs, iterate_minibatches
+
+from tests.conftest import acfg_from_dense
 
 
 def make_acfgs(n):
     return [
-        ACFG(
+        acfg_from_dense(
             adjacency=np.zeros((1, 1)),
             attributes=np.array([[float(i)]]),
             label=0,
@@ -141,8 +142,8 @@ class TestTrainerValidationMemoization:
             np.fill_diagonal(adjacency, 0.0)
             attributes = rng.standard_normal((n, 11)) + 2.0 * label
             acfgs.append(
-                ACFG(adjacency=adjacency, attributes=attributes,
-                     label=label, name=f"m{label}_{i}")
+                acfg_from_dense(adjacency=adjacency, attributes=attributes,
+                                label=label, name=f"m{label}_{i}")
             )
         return acfgs
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.dgcnn import ModelConfig, build_model
 from repro.datasets.loader import MalwareDataset
-from repro.features.acfg import ACFG
 from repro.train.cross_validation import cross_validate
 from repro.train.trainer import TrainingConfig
+
+from tests.conftest import acfg_from_dense
 
 
 def make_dataset(rng, n_per_class=10, num_classes=2):
@@ -19,8 +20,8 @@ def make_dataset(rng, n_per_class=10, num_classes=2):
             np.fill_diagonal(adjacency, 0.0)
             attributes = rng.standard_normal((n, 11)) + 2.0 * label
             acfgs.append(
-                ACFG(adjacency=adjacency, attributes=attributes,
-                     label=label, name=f"{label}_{i}")
+                acfg_from_dense(adjacency=adjacency, attributes=attributes,
+                                label=label, name=f"{label}_{i}")
             )
     return MalwareDataset(
         acfgs=acfgs, family_names=[f"f{c}" for c in range(num_classes)]

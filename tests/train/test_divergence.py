@@ -12,12 +12,13 @@ import repro.train.sweep as sweep_module
 from repro.core.dgcnn import ModelConfig, build_model
 from repro.datasets import generate_mskcfg_dataset
 from repro.exceptions import TrainingDivergedError
-from repro.features.acfg import ACFG
 from repro.nn.layers import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.train.hyperparameter import GridSearch, HyperparameterSetting
 from repro.train.sweep import SweepExecutor
 from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
+
+from tests.conftest import acfg_from_dense
 
 
 class ScriptedModel(Module):
@@ -54,7 +55,7 @@ def tiny_acfgs(count=8):
     adjacency[0, 1] = 1.0
     attributes = np.ones((2, 11))
     return [
-        ACFG(adjacency=adjacency, attributes=attributes, label=i % 2)
+        acfg_from_dense(adjacency=adjacency, attributes=attributes, label=i % 2)
         for i in range(count)
     ]
 

@@ -9,7 +9,6 @@ from repro.core.dgcnn import (
 )
 from repro.datasets.loader import MalwareDataset
 from repro.exceptions import ConfigurationError
-from repro.features.acfg import ACFG
 from repro.train.hyperparameter import (
     GridSearch,
     HyperparameterSetting,
@@ -17,6 +16,8 @@ from repro.train.hyperparameter import (
     setting_to_model_config,
     table2_grid,
 )
+
+from tests.conftest import acfg_from_dense
 
 
 class TestTable2Grid:
@@ -139,8 +140,8 @@ class TestGridSearch:
                 adjacency = (rng.random((n, n)) < 0.3).astype(float)
                 attributes = rng.standard_normal((n, 11)) + 2.0 * label
                 acfgs.append(
-                    ACFG(adjacency=adjacency, attributes=attributes,
-                         label=label, name=f"{label}_{i}")
+                    acfg_from_dense(adjacency=adjacency, attributes=attributes,
+                                    label=label, name=f"{label}_{i}")
                 )
         return MalwareDataset(acfgs=acfgs, family_names=["a", "b"])
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.dgcnn import ModelConfig, build_model
 from repro.exceptions import TrainingError
-from repro.features.acfg import ACFG
 from repro.features.scaling import AttributeScaler
 from repro.train.trainer import Trainer, TrainingConfig
+
+from tests.conftest import acfg_from_dense
 
 
 def toy_dataset(rng, n_per_class=8):
@@ -20,7 +21,7 @@ def toy_dataset(rng, n_per_class=8):
             np.fill_diagonal(adjacency, 0.0)
             attributes = rng.standard_normal((n, 11)) + 2.5 * label
             acfgs.append(
-                ACFG(adjacency=adjacency, attributes=attributes, label=label)
+                acfg_from_dense(adjacency=adjacency, attributes=attributes, label=label)
             )
     return acfgs
 

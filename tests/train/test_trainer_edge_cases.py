@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.dgcnn import ModelConfig, build_model
-from repro.features.acfg import ACFG
 from repro.train.trainer import Trainer, TrainingConfig
+
+from tests.conftest import acfg_from_dense
 
 
 def tiny_model(num_classes=2, seed=0):
@@ -20,7 +21,7 @@ def make_acfgs(rng, count, num_classes=2, c=3):
     acfgs = []
     for i in range(count):
         n = int(rng.integers(2, 5))
-        acfgs.append(ACFG(
+        acfgs.append(acfg_from_dense(
             adjacency=(rng.random((n, n)) < 0.4).astype(float),
             attributes=rng.standard_normal((n, c)),
             label=i % num_classes,
