@@ -30,11 +30,15 @@ Operational contracts pinned here:
   batches (handler threads are non-daemon and joined), then close the
   socket — a request accepted before shutdown still completes with its
   real status.
+* Leaving the ``with`` block before ``serve_forever`` runs stops the
+  backend and closes the socket without hanging, and a later
+  ``serve_forever`` returns at once.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -78,6 +82,10 @@ class ClassificationServer(ThreadingHTTPServer):
         #: Opt-in: add the top-2 score margin to /classify responses.
         self.include_margin = include_margin
         self.started_at = time.monotonic()
+        # Either the loop starts and __exit__ shuts it down, or it never runs.
+        self._loop_lock = threading.Lock()
+        self._loop_started = False
+        self._closing = False
 
     @property
     def port(self) -> int:
@@ -87,17 +95,31 @@ class ClassificationServer(ThreadingHTTPServer):
         self.backend.start()
         return self
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._loop_lock:
+            if self._closing:
+                return
+            self._loop_started = True
+        super().serve_forever(poll_interval)
+
     def __exit__(self, *exc_info) -> None:
         # Ordered drain: (1) stop accepting new connections, (2) let the
         # backend finish every queued batch (handler threads parked in
         # submit() get their results and write their responses), (3)
         # join handler threads and close the socket -- also when a
-        # second Ctrl-C interrupts the drain.
+        # second Ctrl-C interrupts the drain.  shutdown() waits for the
+        # loop, so it would hang forever had the loop never started.
+        with self._loop_lock:
+            self._closing = True
+            loop_started = self._loop_started
         try:
-            self.shutdown()
-            self.backend.stop()
+            if loop_started:
+                self.shutdown()
         finally:
-            self.server_close()
+            try:
+                self.backend.stop()
+            finally:
+                self.server_close()
 
     def serve(self) -> None:
         """Run until interrupted (the CLI entry point)."""

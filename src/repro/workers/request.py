@@ -56,7 +56,7 @@ _TICK_SECONDS = 0.05
 #: Grace period for joining a worker that closed its pipe or was killed.
 _JOIN_SECONDS = 5.0
 
-#: Seconds an idle child waits on its pipe between checks for its parent.
+#: Seconds between a child's checks that its parent is still alive.
 _ORPHAN_CHECK_SECONDS = 1.0
 
 #: request_id of the readiness announcement (never a real request id).
@@ -150,6 +150,13 @@ class WorkerEvent:
     detail: str = ""
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Watchdog body: end this process once it has been reparented."""
+    while os.getppid() == parent:  # repro: allow[fault-contract] — getppid cannot fail
+        time.sleep(_ORPHAN_CHECK_SECONDS)
+    os._exit(0)  # repro: allow[fault-contract] — ends the process; it cannot return an exception
+
+
 def _request_worker_main(
     conn: "PipeConn",
     entrypoint: str,
@@ -160,13 +167,17 @@ def _request_worker_main(
 
     A forked child inherits copies of the parent's ends of its own pipe
     and of every earlier sibling's, so a parent killed outright never
-    shows up as EOF here; an idle child therefore also exits once it has
-    been reparented (``watch_parent``).  A thread shares its parent's
-    pid and must not watch it: an in-process worker outlives the shell
-    that launched its server.
+    shows up as EOF here.  A process worker (``watch_parent``) therefore
+    runs a watchdog thread that exits it once it has been reparented,
+    busy or idle.  A thread shares its parent's pid and must not watch
+    it: an in-process worker outlives the shell that launched its server.
     """
-    parent = os.getppid() if watch_parent else None  # repro: allow[fault-contract] — getppid cannot fail
     try:
+        if watch_parent:
+            threading.Thread(
+                target=_exit_when_orphaned, args=(os.getppid(),),
+                name="orphan-watchdog", daemon=True,
+            ).start()
         handler = resolve_entrypoint(entrypoint)(**init_kwargs)
     except BaseException as exc:  # repro: allow[broad-except] — init failure must reach the parent
         try:
@@ -180,10 +191,6 @@ def _request_worker_main(
         return
     while True:
         try:
-            if parent is not None and not conn.poll(_ORPHAN_CHECK_SECONDS):
-                if os.getppid() != parent:  # repro: allow[fault-contract] — getppid cannot fail
-                    break
-                continue
             message = conn.recv()  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
         except (EOFError, OSError, KeyboardInterrupt):
             break

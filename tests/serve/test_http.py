@@ -291,6 +291,47 @@ class TestGracefulShutdown:
         assert statuses == [200] * len(samples)
 
 
+def finishes_within(target, seconds=5.0):
+    """Run ``target`` on a daemon thread; True if it returned in time."""
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    return not thread.is_alive()
+
+
+class TestShutdownBeforeServing:
+    """Leaving the server's context before its loop starts must not hang."""
+
+    def test_exit_before_serve_forever_returns_and_stops_the_backend(
+        self, engine
+    ):
+        server = build_server(FleetDispatcher.in_process(engine))
+        raised = []
+
+        def enter_then_fail():
+            try:
+                with server:
+                    assert server.backend.running
+                    raise RuntimeError("interrupted before serve_forever")
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        assert finishes_within(enter_then_fail), "__exit__ hung"
+        assert len(raised) == 1  # the exception propagates, not swallowed
+        assert not server.backend.running
+        assert server.socket.fileno() == -1  # the socket is closed
+
+    def test_loop_started_after_exit_returns_at_once(self, engine):
+        server = build_server(FleetDispatcher.in_process(engine))
+
+        def enter_and_leave():
+            with server:
+                pass
+
+        assert finishes_within(enter_and_leave), "__exit__ hung"
+        assert finishes_within(server.serve_forever)
+
+
 @contextlib.contextmanager
 def running_fleet_server(registry_root, **kwargs):
     dispatcher = FleetDispatcher(

@@ -52,6 +52,17 @@ print(" ".join(str(worker.pid) for worker in workers), flush=True)
 time.sleep(3600)
 """
 
+#: Runs one extraction unit that hangs (``FaultPlan`` hang, no deadline)
+#: on a process worker, and waits on it forever.
+HUNG_EXTRACTION = """
+from repro.datasets import generate_mskcfg_listings
+from repro.features.pipeline import AcfgPipeline
+from repro.testing.faults import FaultPlan
+samples = list(generate_mskcfg_listings(total=18, seed=5))[:1]
+AcfgPipeline(max_workers=1, use_processes=True,
+             fault_plan=FaultPlan.build(hang_on=[0])).extract_from_texts(samples)
+"""
+
 
 class _Echo:
     """Request handler used inside worker children."""
@@ -80,6 +91,21 @@ def marker_service(marker: str, hang: bool = False):
             time.sleep(3600)
         os._exit(3)
     return _Echo("")
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except (FileNotFoundError, ProcessLookupError):
+                continue
+            if int(fields[1]) == pid:
+                children.append(int(entry))
+    return children
 
 
 def exited(pid):
@@ -315,6 +341,39 @@ class TestSupervision:
                     os.kill(pid, signal.SIGKILL)
             parent.wait(timeout=30)
             parent.stdout.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_busy_worker_exits_when_its_parent_is_killed(self):
+        # The worker is inside a unit that never returns, so only a rule
+        # that holds for busy workers can end it once its parent is gone.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + REPO_ROOT
+        parent = subprocess.Popen(
+            [sys.executable, "-c", HUNG_EXTRACTION], cwd=REPO_ROOT, env=env,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not workers:
+                workers = children_of(parent.pid)
+                time.sleep(0.05)
+            assert len(workers) == 1
+            # Readiness and the unit's dispatch follow within milliseconds;
+            # give them ample time so the worker is busy when the parent dies.
+            time.sleep(1.0)
+            assert not exited(workers[0])
+            os.kill(parent.pid, signal.SIGKILL)
+            parent.wait(timeout=30)
+            bound = 5 * request_module._ORPHAN_CHECK_SECONDS
+            deadline = time.monotonic() + bound
+            while time.monotonic() < deadline and not exited(workers[0]):
+                time.sleep(0.05)
+            assert exited(workers[0]), f"worker outlived its parent by {bound}s"
+        finally:
+            for pid in [parent.pid] + workers:
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.wait(timeout=30)
 
 
 class TestInProcessWorker:
