@@ -88,13 +88,9 @@ class GraphBatch:
     ) -> None:
         if not acfgs:
             raise ConfigurationError("cannot batch zero graphs")
-        blocks = [
-            acfg.propagation_operator_sparse()
-            if normalize_propagation
-            else acfg.augmented_adjacency_sparse()
-            for acfg in acfgs
-        ]
-        self.propagation = _block_diag_csr(blocks)
+        self.propagation = _block_diag_csr(
+            [acfg.operator(normalize_propagation) for acfg in acfgs]
+        )
         self.attributes = np.concatenate([a.attributes for a in acfgs], axis=0)
         sizes = [a.num_vertices for a in acfgs]
         self.boundaries = np.concatenate([[0], np.cumsum(sizes)])
