@@ -27,7 +27,7 @@ HEX_SUFFIX_LITERAL = r"[0-9][0-9a-fA-F]*h"
 
 #: Immediate numeric operands: decimal, hex (0x1F or 1Fh).  Leading with
 #: the token's first digit lets the scanner skip straight to digits.
-_NUMERIC_CONSTANT_RE = re.compile(
+NUMERIC_CONSTANT_RE = re.compile(
     r"\d(?<![\w.]\d)"
     r"(?:(?<=0)x[0-9a-fA-F]+"       # 0x1F
     r"|(?<=[0-9])[0-9a-fA-F]*h"     # 1Fh, 0FFh: HEX_SUFFIX_LITERAL
@@ -38,7 +38,7 @@ _NUMERIC_CONSTANT_RE = re.compile(
 
 def count_numeric_constants(operand_text: str) -> int:
     """Number of literal decimal/hex tokens in ``operand_text``."""
-    return len(_NUMERIC_CONSTANT_RE.findall(operand_text))
+    return len(NUMERIC_CONSTANT_RE.findall(operand_text))
 
 
 @dataclass

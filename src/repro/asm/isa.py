@@ -126,7 +126,7 @@ CATEGORY_OF: Dict[str, InstructionCategory] = {
 }
 
 #: Lower-cased mnemonic -> control-flow kind, filled the same way.
-_FLOW_KIND_OF: Dict[str, ControlFlowKind] = {
+FLOW_KIND_OF: Dict[str, ControlFlowKind] = {
     mnemonic: kind
     for mnemonics, kind in reversed((
         (CONDITIONAL_JUMPS, ControlFlowKind.CONDITIONAL_JUMP),
@@ -150,4 +150,4 @@ def categorize(mnemonic: str) -> InstructionCategory:
 
 def control_flow_kind(mnemonic: str) -> ControlFlowKind:
     """Map a mnemonic to its control-flow behaviour for the CFG builder."""
-    return _FLOW_KIND_OF.get(mnemonic.lower(), ControlFlowKind.SEQUENTIAL)
+    return FLOW_KIND_OF.get(mnemonic.lower(), ControlFlowKind.SEQUENTIAL)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-import networkx as nx
-
 from repro.cfg.graph import ControlFlowGraph
 
 
@@ -44,6 +42,8 @@ def compute_cfg_metrics(cfg: ControlFlowGraph) -> CfgMetrics:
     target address does not exceed the source (loops in layout order);
     non-trivial SCCs are cycles in the exact graph-theoretic sense.
     """
+    import networkx as nx
+
     graph = cfg.to_networkx()
     n = graph.number_of_nodes()
     e = graph.number_of_edges()

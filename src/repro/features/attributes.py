@@ -25,11 +25,12 @@ ACFG construction, datasets, models — picks it up through
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.asm.instruction import count_numeric_constants
+from repro.asm.instruction import NUMERIC_CONSTANT_RE
 from repro.asm.isa import CATEGORY_OF, InstructionCategory
 from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
@@ -97,39 +98,79 @@ def unregister_attribute(name: str) -> None:
     del _REGISTRY[name]
 
 
+def category_codes(mnemonics: Sequence[str]) -> np.ndarray:
+    """The bincount code of each lower-cased mnemonic, one dict probe each."""
+    return np.fromiter(
+        map(_CODE_OF.get, mnemonics, repeat(_NUM_CODES - 1)),
+        np.int64,
+        len(mnemonics),
+    )
+
+
+def table_one(
+    owner: np.ndarray,
+    codes: np.ndarray,
+    operand_text: Sequence[str],
+    out_degrees: np.ndarray,
+) -> np.ndarray:
+    """The eleven Table I channels of every block, shape ``(n, 11)``.
+
+    Instruction ``i`` belongs to block ``owner[i]``, has category code
+    ``codes[i]`` (:func:`category_codes`) and operand text
+    ``operand_text[i]``; ``n`` is ``len(out_degrees)``.  The seven
+    category channels are one ``bincount`` over ``(block, code)`` pairs,
+    and numeric constants are one regex pass over the joined operand
+    text, each match charged to its instruction's block by offset.
+    """
+    n = len(out_degrees)
+    sizes = np.bincount(owner, minlength=n)
+    counts = np.bincount(
+        owner * _NUM_CODES + codes, minlength=n * _NUM_CODES
+    ).reshape(n, _NUM_CODES)
+    # Literals never span the newline between two instructions' operands.
+    ends = np.cumsum(
+        np.fromiter(map(len, operand_text), np.int64, len(operand_text)) + 1
+    )
+    hits = np.fromiter(
+        (match.start() for match in NUMERIC_CONSTANT_RE.finditer("\n".join(operand_text))),
+        np.int64,
+    )
+    constants = np.bincount(
+        owner[np.searchsorted(ends, hits, side="right")], minlength=n
+    )
+    return np.column_stack(
+        [constants, counts[:, :-1], sizes, out_degrees, sizes]
+    ).astype(np.float64)
+
+
+def custom_extractors() -> List[AttributeExtractor]:
+    """The registered extractors after the Table I channels, in order."""
+    return [fn for fn in _REGISTRY.values() if fn is not None]
+
+
 def _extract(blocks: Sequence[BasicBlock], graph: ControlFlowGraph) -> np.ndarray:
     """Attribute rows of ``blocks``: the Table I channels, then custom ones.
 
-    Each instruction is classified once, and the seven category channels
-    are one ``bincount`` over ``(block, category code)`` pairs.  Custom
-    extractors run once per block.
+    Custom extractors run once per block.
     """
-    sizes = np.fromiter((len(block) for block in blocks), np.int64, len(blocks))
-    codes = np.fromiter(
-        (_CODE_OF.get(inst.mnemonic.lower(), _NUM_CODES - 1)
-         for block in blocks for inst in block.instructions),
-        np.int64,
-        int(sizes.sum()),
+    instructions = [inst for block in blocks for inst in block.instructions]
+    owner = np.repeat(
+        np.arange(len(blocks)),
+        np.fromiter(map(len, blocks), np.int64, len(blocks)),
     )
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    counts = np.bincount(
-        owner * _NUM_CODES + codes, minlength=len(blocks) * _NUM_CODES
-    ).reshape(len(blocks), _NUM_CODES)
-    # One scan per block: literals never span the ", " between operands.
-    constants = [
-        count_numeric_constants(", ".join(
-            [operand for inst in block.instructions for operand in inst.operands]
-        ))
-        for block in blocks
-    ]
-    offspring = [graph.out_degree(block) for block in blocks]
-    custom = [fn for fn in _REGISTRY.values() if fn is not None]
+    table = table_one(
+        owner,
+        category_codes([inst.mnemonic.lower() for inst in instructions]),
+        [inst.operand_text() for inst in instructions],
+        np.array([graph.out_degree(block) for block in blocks], dtype=np.int64),
+    )
+    custom = custom_extractors()
+    if not custom:
+        return table
     extra = np.array(
         [[fn(block, graph) for fn in custom] for block in blocks], dtype=np.float64
     )
-    return np.column_stack(
-        [constants, counts[:, :-1], sizes, offspring, sizes, extra]
-    )
+    return np.column_stack([table, extra])
 
 
 def extract_block_attributes(

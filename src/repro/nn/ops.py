@@ -553,8 +553,16 @@ def _conv1d_bwd(g, ins, out, meta, state, need):
         stride, kernel, l_out = meta["stride"], ins[1].shape[2], g.shape[2]
         windows = grad_cols.reshape(x.shape[0], x.shape[1], kernel, l_out)
         grad_x = grads[0] = _zeroed(state, "conv_gx", x.shape)
-        for k in range(kernel):
-            grad_x[:, :, k : k + stride * l_out : stride] += windows[:, :, k, :]
+        if stride == kernel:
+            # Windows do not overlap: every position takes one tap, added
+            # (not copied) so a -0.0 tap turns +0.0 as in the loop.
+            covered = grad_x[:, :, : kernel * l_out].reshape(
+                x.shape[0], x.shape[1], l_out, kernel
+            )
+            np.add(covered, windows.transpose(0, 1, 3, 2), out=covered)
+        else:
+            for k in range(kernel):
+                grad_x[:, :, k : k + stride * l_out : stride] += windows[:, :, k, :]
     return grads
 
 

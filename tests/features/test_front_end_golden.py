@@ -7,7 +7,10 @@ signature of its fingerprint and the ``acfg_to_text`` record that
 dataset caches and extraction journals store.  They were recorded with
 the original per-block Table I extractor and the dense adjacency
 matrix, so a faster extraction path or another graph representation
-must reproduce them bit for bit.
+must reproduce them bit for bit.  Both paths are pinned: the reference
+objects (``Program``, ``CfgBuilder``, ``ACFG.from_cfg``) and the
+columnar path serving and extraction run (``AsmParser.scan``, the text
+worker).
 
 The eleven per-block extractors that produced them are kept below as the
 reference oracle; a property test checks the one-pass attribute matrix
@@ -20,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.asm.isa import InstructionCategory
-from repro.asm.parser import AsmParser
+from repro.asm.parser import AsmParser, _split_operands
 from repro.cfg.builder import CfgBuilder
 from repro.cfg.serialization import acfg_to_text
 from repro.datasets.mskcfg import MSKCFG_FAMILIES, generate_mskcfg_sample
@@ -32,7 +35,12 @@ from repro.features.attributes import (
     register_attribute,
     unregister_attribute,
 )
-from repro.features.pipeline import AcfgPipeline, FailureKind
+from repro.features.pipeline import (
+    AcfgPipeline,
+    FailureKind,
+    WorkerContext,
+    _worker_text,
+)
 from repro.similarity import MinHasher, fingerprint_acfg
 
 from tests.asm.test_realistic_listing import REALISTIC
@@ -116,16 +124,7 @@ def _sha(*parts):
     return digest.hexdigest()
 
 
-def front_end_digests(text):
-    """``{program, acfg, signature, record}`` sha256 digests of a listing."""
-    parser = AsmParser()
-    program = parser.parse(text)
-    rows = [
-        (inst.address, inst.mnemonic, tuple(inst.operands), inst.size)
-        for inst in program
-    ]
-    cfg = CfgBuilder(resolve_target=parser.resolve_target).build(program)
-    acfg = ACFG.from_cfg(cfg)
+def _digests(rows, parser, acfg):
     signature = MinHasher().signature(fingerprint_acfg(acfg))
     dense = dense_adjacency(acfg)
     return {
@@ -137,6 +136,33 @@ def front_end_digests(text):
         "signature": _sha(signature.tobytes()),
         "record": _sha(acfg_to_text(acfg.edges, acfg.attributes).encode()),
     }
+
+
+def front_end_digests(text):
+    """``{program, acfg, signature, record}`` sha256 digests of a listing."""
+    parser = AsmParser()
+    program = parser.parse(text)
+    rows = [
+        (inst.address, inst.mnemonic, tuple(inst.operands), inst.size)
+        for inst in program
+    ]
+    cfg = CfgBuilder(resolve_target=parser.resolve_target).build(program)
+    return _digests(rows, parser, ACFG.from_cfg(cfg))
+
+
+def production_digests(text):
+    """The same digests from the scanned columns and the text worker."""
+    parser = AsmParser()
+    listing = parser.scan(text)
+    rows = [
+        (address, mnemonic, tuple(_split_operands(operands)), size)
+        for address, size, mnemonic, operands in zip(
+            listing.addresses.tolist(), listing.sizes.tolist(),
+            listing.mnemonics, listing.operands,
+        )
+    ]
+    acfg = _worker_text(("", text, None), WorkerContext())
+    return _digests(rows, parser, acfg)
 
 
 JUNK_PROBABILITIES = (0.0, 0.35, 0.9)
@@ -252,6 +278,10 @@ class TestGoldenDigests:
         assert set(texts) == set(GOLDEN)
         for name, text in texts.items():
             assert front_end_digests(text) == GOLDEN[name], name
+
+    def test_the_production_path_matches_the_same_digests(self):
+        for name, text in golden_texts().items():
+            assert production_digests(text) == GOLDEN[name], name
 
     def test_truncated_listing_fails_as_parse(self):
         text = generate_mskcfg_sample("Gatak", 0, seed=1)[1]

@@ -25,6 +25,7 @@ from repro.core.adaptive_pooling import conv2d_adaptive_max_pool
 from repro.core.batched import GraphBatch
 from repro.core.sort_pooling import sort_pool, sort_vertex_order
 from repro.nn import functional as F
+from repro.nn import ops
 from repro.nn.ops import OPS, Workspace
 from repro.nn.tape import compile_output
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
@@ -94,6 +95,8 @@ CASES = [
     Case("log", "log", ((3, 4),), lambda t, b, r: t[0].log(), positive=True),
     Case("conv1d", "conv1d", ((2, 3, 9), (4, 3, 3), (4,)),
          lambda t, b, r: F.conv1d(t[0], t[1], t[2], stride=2)),
+    Case("conv1d_disjoint", "conv1d", ((2, 3, 14), (4, 3, 4), (4,)),
+         lambda t, b, r: F.conv1d(t[0], t[1], t[2], stride=4)),
     Case("conv2d_padded", "conv2d", ((1, 2, 5, 4), (3, 2, 3, 3), (3,)),
          lambda t, b, r: F.conv2d(t[0], t[1], t[2], stride=1, padding=1)),
     Case("conv2d_strided", "conv2d", ((1, 2, 6, 5), (3, 2, 2, 2)),
@@ -344,3 +347,33 @@ def test_pooling_head_replays_across_shapes_with_one_workspace(kind):
         for got, want in zip(op.backward(g, ins, out, meta, state, need),
                              op.backward(g, ins, expected, meta, fresh, need)):
             assert_bit_exact(got, want)
+
+
+@pytest.mark.parametrize("length, kernel, stride", [
+    (12, 4, 4),   # windows tile the input
+    (14, 4, 4),   # windows leave a tail the gradient never reaches
+    (9, 3, 2),    # overlapping windows
+    (9, 3, 1),
+    (10, 2, 3),   # gaps between windows
+])
+def test_conv1d_input_gradient_matches_the_tap_loop(monkeypatch, length, kernel, stride):
+    # The column gradient is drawn directly, -0.0 taps included (a BLAS
+    # matmul never yields -0.0), and scattered back by the kernel.
+    rng = np.random.default_rng(length * 100 + kernel * 10 + stride)
+    x = rng.standard_normal((2, 3, length))
+    w = rng.standard_normal((4, 3, kernel))
+    l_out = (length - kernel) // stride + 1
+    windows = rng.standard_normal((2, 3, kernel, l_out))
+    windows[rng.random(windows.shape) < 0.3] = -0.0
+    monkeypatch.setattr(
+        ops, "_conv_bwd",
+        lambda g, ins, state, need: ([None, None], windows.reshape(2, -1, l_out)),
+    )
+    g = np.zeros((2, 4, l_out))
+    grad_x = OPS["conv1d"].backward(g, [x, w], g, {"stride": stride}, {}, [True, False])[0]
+
+    expected = np.zeros_like(x)
+    for k in range(kernel):
+        expected[:, :, k : k + stride * l_out : stride] += windows[:, :, k, :]
+    assert_bit_exact(grad_x, expected)
+    assert np.array_equal(np.signbit(grad_x), np.signbit(expected))

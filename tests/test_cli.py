@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 from tests.conftest import SAMPLE_ASM
@@ -15,6 +18,22 @@ def listing_file(tmp_path):
     path = tmp_path / "sample.asm"
     path.write_text(SAMPLE_ASM)
     return str(path)
+
+
+class TestColdStart:
+    def test_importing_the_cli_leaves_networkx_out(self):
+        # Every server spawn and fleet replica imports the CLI; networkx
+        # is only for CFG metrics and analysis, imported where they run.
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'networkx'))"],
+            env=dict(os.environ, PYTHONPATH=source),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestInfo:
