@@ -5,14 +5,21 @@ the resulting program ``P`` is a one-to-one mapping from sorted addresses
 to assembly instructions, e.g. ``P : Z+ -> I``".  This module provides
 that structure plus the iteration helpers (``getNextInst``) that
 Algorithm 2 assumes.
+
+A program parsed from text (:meth:`Program.from_columns`) holds the
+parser's columns and makes its :class:`Instruction` objects on first use,
+so a front end that reads only the columns makes none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.asm.instruction import Instruction
 from repro.exceptions import AsmParseError
+
+#: The attributes a program made from columns fills on first use.
+_OBJECT_VIEW = frozenset({"_by_address", "_sorted_addresses", "_sorted_dirty"})
 
 
 class Program:
@@ -23,12 +30,39 @@ class Program:
     two-pass CFG construction relies on.
     """
 
+    #: The parser's columns (:class:`repro.asm.parser.Listing`) while no
+    #: instruction object has been made, else ``None``.
+    columns: Optional[Any] = None
+
     def __init__(self, instructions: Iterable[Instruction] = ()) -> None:
         self._by_address: Dict[int, Instruction] = {}
         self._sorted_addresses: List[int] = []
         self._sorted_dirty = False
         for instruction in instructions:
             self.add(instruction)
+
+    @classmethod
+    def from_columns(cls, listing: Any) -> "Program":
+        """The program of a scanned listing, its instructions made on first use.
+
+        ``listing`` is a :class:`repro.asm.parser.Listing`; its
+        ``instructions()`` are made the first time anything but
+        :attr:`columns` or ``len`` is asked for, and from then on the
+        objects are the program and :attr:`columns` is ``None``.
+        """
+        program = cls.__new__(cls)
+        program.columns = listing
+        return program
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for attributes not yet set: a program made from
+        # columns makes its instruction objects now.
+        listing = self.columns
+        if name not in _OBJECT_VIEW or listing is None:
+            raise AttributeError(name)
+        self.columns = None
+        Program.__init__(self, listing.instructions())
+        return self.__dict__[name]
 
     def add(self, instruction: Instruction) -> None:
         """Insert an instruction; addresses must be unique."""
@@ -46,6 +80,8 @@ class Program:
             self._sorted_dirty = False
 
     def __len__(self) -> int:
+        if self.columns is not None:
+            return len(self.columns)
         return len(self._by_address)
 
     def __contains__(self, address: int) -> bool:

@@ -9,23 +9,71 @@ The graph numbers its vertices in address order (:meth:`vertex_index`);
 :meth:`repro.features.acfg.ACFG.from_cfg` turns :meth:`edges` into the
 edge list DGCNN's operators ``Â = A + I`` and ``D̂^-1 Â`` are built
 from.  :meth:`to_networkx` bridges to analysis and visualisation.
+
+A graph built from a parsed program's columns
+(:meth:`ControlFlowGraph.from_columns`) holds its vertices and edges as
+arrays and makes its :class:`BasicBlock` objects on first use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.basic_block import BasicBlock
 from repro.exceptions import CfgConstructionError
+
+#: The attributes a graph made from columns fills on first use.
+_OBJECT_VIEW = frozenset({"_blocks", "_successors"})
 
 
 class ControlFlowGraph:
     """A directed graph of basic blocks, ordered by start address."""
 
+    #: The blocks as arrays (:class:`repro.cfg.builder.BlockColumns`)
+    #: while no block object has been made, else ``None``.
+    columns: Optional[Any] = None
+
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._blocks: Dict[int, BasicBlock] = {}
         self._successors: Dict[int, Set[int]] = {}
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Any,
+        make_blocks: Callable[[], "ControlFlowGraph"],
+        name: str = "",
+    ) -> "ControlFlowGraph":
+        """A graph over ``columns``, its block objects made on first use.
+
+        ``columns`` is a :class:`repro.cfg.builder.BlockColumns`, and
+        ``make_blocks()`` builds the same graph as objects.  It runs the
+        first time anything but :attr:`name`, :attr:`columns` or the
+        vertex and edge counts is asked for; from then on the objects
+        are the graph and :attr:`columns` is ``None``.
+        """
+        graph = cls.__new__(cls)
+        graph.name = name
+        graph.columns = columns
+        graph._make_blocks = make_blocks
+        return graph
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for attributes not yet set: a graph made from
+        # columns makes its block objects now.
+        make_blocks = self.__dict__.get("_make_blocks")
+        if name not in _OBJECT_VIEW or make_blocks is None:
+            raise AttributeError(name)
+        built = make_blocks()
+        del self._make_blocks
+        self.columns = None
+        self._blocks, self._successors = built._blocks, built._successors
+        return self.__dict__[name]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        self._blocks  # a pickled graph carries its objects, not the columns
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # construction
@@ -73,10 +121,14 @@ class ControlFlowGraph:
 
     @property
     def num_vertices(self) -> int:
+        if self.columns is not None:
+            return self.columns.num_blocks
         return len(self._blocks)
 
     @property
     def num_edges(self) -> int:
+        if self.columns is not None:
+            return self.columns.edges.shape[1]
         return sum(len(s) for s in self._successors.values())
 
     def __len__(self) -> int:
