@@ -3,7 +3,7 @@ Flow Graphs using Deep Graph Convolutional Neural Network" (DSN 2019).
 
 Public API tour:
 
-* :mod:`repro.asm` — assembly parsing and instruction tagging.
+* :mod:`repro.asm` — assembly parsing into a columnar program.
 * :mod:`repro.cfg` — control-flow-graph construction (Algorithms 1-2).
 * :mod:`repro.features` — Table I attributes and the ACFG abstraction.
 * :mod:`repro.nn` — the from-scratch autograd/NN engine.

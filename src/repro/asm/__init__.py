@@ -1,10 +1,9 @@
-"""Assembly substrate: instruction model, ISA taxonomy, parser, tagger.
+"""Assembly substrate: instruction model, ISA taxonomy, parser.
 
 This package implements everything MAGIC needs *below* the control flow
 graph: a model of disassembled programs (:class:`Program`), an
-IDA-listing parser (:class:`AsmParser`), the Table I instruction
-taxonomy (:mod:`repro.asm.isa`), and the first pass of CFG construction
-(:class:`InstructionTagger`, Algorithm 1 of the paper).
+IDA-listing parser (:class:`AsmParser`) and the Table I instruction
+taxonomy (:mod:`repro.asm.isa`).
 """
 
 from repro.asm.instruction import Instruction
@@ -16,14 +15,12 @@ from repro.asm.isa import (
 )
 from repro.asm.parser import AsmParser
 from repro.asm.program import Program
-from repro.asm.visitor import InstructionTagger
 
 __all__ = [
     "AsmParser",
     "ControlFlowKind",
     "Instruction",
     "InstructionCategory",
-    "InstructionTagger",
     "Program",
     "categorize",
     "control_flow_kind",

@@ -1,10 +1,9 @@
 """Instruction model.
 
 An :class:`Instruction` is one line of a disassembled program: an address,
-a mnemonic, and operands.  The CFG construction algorithm of the paper
-(Section IV-A) associates four tags with each instruction — ``start``,
-``branchTo``, ``fallThrough`` and ``return`` — which are filled in by the
-first (tagging) pass and consumed by the second (block-building) pass.
+a mnemonic, and operands.  A :class:`~repro.asm.program.Program` keeps
+each instruction's operands as the text the listing gave
+(:meth:`Instruction.operand_text`); :func:`split_operands` splits it.
 """
 
 from __future__ import annotations
@@ -36,14 +35,48 @@ NUMERIC_CONSTANT_RE = re.compile(
 )
 
 
+#: Bracket characters and their effect on the nesting depth.
+_BRACKET_RE = re.compile(r"[()\[\]{}]")
+_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+
 def count_numeric_constants(operand_text: str) -> int:
     """Number of literal decimal/hex tokens in ``operand_text``."""
     return len(NUMERIC_CONSTANT_RE.findall(operand_text))
 
 
+def split_operands(rest: str) -> List[str]:
+    """Split an operand string on top-level commas.
+
+    Commas inside brackets (memory operands such as ``[eax+ebx*4]`` never
+    contain commas in x86, but some macro operands might) are preserved.
+    """
+    operands: List[str] = []
+    depth = 0
+    pending = ""
+    for piece in rest.split(","):
+        # A piece opened inside brackets joins the operand it continues.
+        pending = pending + "," + piece if depth else piece
+        for bracket in _BRACKET_RE.findall(piece):
+            depth += _DEPTH_STEP[bracket]
+        if depth == 0:
+            operands.append(pending)
+    if depth:
+        operands.append(pending)
+    return [stripped for operand in operands if (stripped := operand.strip())]
+
+
+def first_operand(text: str) -> Optional[str]:
+    """``split_operands(text)[0]``, or ``None`` when there is no operand."""
+    if "," not in text:
+        return text.strip() or None
+    operands = split_operands(text)
+    return operands[0] if operands else None
+
+
 @dataclass
 class Instruction:
-    """A single assembly instruction plus the CFG-builder tags.
+    """A single assembly instruction.
 
     Parameters
     ----------
@@ -62,12 +95,6 @@ class Instruction:
     mnemonic: str
     operands: List[str] = field(default_factory=list)
     size: int = 1
-
-    # Tags written by the first (visitor) pass -- Section IV-A.
-    start: bool = False
-    branch_to: Optional[int] = None
-    fall_through: bool = False
-    is_return: bool = False
 
     def __post_init__(self) -> None:
         self.mnemonic = self.mnemonic.lower()

@@ -19,12 +19,9 @@ instruction's address so jumps may refer to them by name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.asm.instruction import HEX_SUFFIX_LITERAL, Instruction
+from repro.asm.instruction import HEX_SUFFIX_LITERAL
 from repro.asm.program import Program
 from repro.exceptions import AsmParseError
 
@@ -65,10 +62,6 @@ _DECORATIONS_RE = re.compile(
 #: Literal jump targets: ``0Ah``-style hex, and bare hex addresses.
 _HEX_SUFFIX_TARGET_RE = re.compile(HEX_SUFFIX_LITERAL)
 _BARE_HEX_TARGET_RE = re.compile(r"[0-9a-fA-F]{4,16}")
-
-#: Bracket characters and their effect on the nesting depth.
-_BRACKET_RE = re.compile(r"[()\[\]{}]")
-_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 #: Directive mnemonics that are not instructions and carry no address flow.
 _SKIPPED_DIRECTIVES = frozenset({
@@ -120,65 +113,8 @@ _ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
 _Row = Tuple[int, str, str, int]
 
 
-def _split_operands(rest: str) -> List[str]:
-    """Split an operand string on top-level commas.
-
-    Commas inside brackets (memory operands such as ``[eax+ebx*4]`` never
-    contain commas in x86, but some macro operands might) are preserved.
-    """
-    operands: List[str] = []
-    depth = 0
-    pending = ""
-    for piece in rest.split(","):
-        # A piece opened inside brackets joins the operand it continues.
-        pending = pending + "," + piece if depth else piece
-        for bracket in _BRACKET_RE.findall(piece):
-            depth += _DEPTH_STEP[bracket]
-        if depth == 0:
-            operands.append(pending)
-    if depth:
-        operands.append(pending)
-    return [stripped for operand in operands if (stripped := operand.strip())]
-
-
-def first_operand(text: str) -> Optional[str]:
-    """``_split_operands(text)[0]``, or ``None`` when there is no operand."""
-    if "," not in text:
-        return text.strip() or None
-    operands = _split_operands(text)
-    return operands[0] if operands else None
-
-
-@dataclass
-class Listing:
-    """A parsed listing as columns, one entry per instruction.
-
-    Instructions are in ascending address order with unique addresses
-    (the first occurrence of a repeated address wins).  ``sizes`` follow
-    the gap rule of :meth:`AsmParser.parse`.  ``operands`` holds each
-    instruction's operand text as written (comment and surrounding
-    whitespace removed); :func:`_split_operands` splits it.
-    """
-
-    addresses: np.ndarray
-    sizes: np.ndarray
-    mnemonics: List[str]
-    operands: List[str]
-
-    def __len__(self) -> int:
-        return len(self.mnemonics)
-
-    def instructions(self) -> Iterator[Instruction]:
-        """One :class:`Instruction` per row, in address order."""
-        for address, size, mnemonic, operands in zip(
-            self.addresses.tolist(), self.sizes.tolist(),
-            self.mnemonics, self.operands,
-        ):
-            yield Instruction(address, mnemonic, _split_operands(operands), size)
-
-
 class AsmParser:
-    """Parses assembly listing text into a :class:`Listing` or :class:`Program`.
+    """Parses assembly listing text into a :class:`Program`.
 
     Parameters
     ----------
@@ -195,33 +131,12 @@ class AsmParser:
         self.labels: Dict[str, int] = {}
 
     def parse(self, text: str) -> Program:
-        """Parse listing text into a :class:`Program`.
+        """Parse listing text into a :class:`Program` with one regex pass.
 
-        The returned program has normalized instruction sizes: each
-        instruction's ``size`` is the gap to the next address, so the
-        fall-through address ``inst.addr + inst.size`` always lands on the
-        textually-next instruction, as Algorithm 1 requires.  It keeps
-        the scanned columns (:meth:`scan`) and makes its instruction
-        objects on first use (:meth:`Program.from_columns`).
-        """
-        return Program.from_columns(self.scan(text))
-
-    def parse_file(self, path: str) -> Program:
-        """Parse an ``.asm`` file from disk (UTF-8 with latin-1 fallback)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except UnicodeDecodeError:
-            with open(path, "r", encoding="latin-1") as handle:
-                text = handle.read()
-        return self.parse(text)
-
-    def scan(self, text: str) -> Listing:
-        """Parse listing text into columns with one regex pass.
-
-        The instructions, :attr:`labels` and :attr:`skipped_lines` are
-        those :meth:`parse` gives; lines are numbered as
-        ``str.splitlines`` numbers them.
+        Instruction sizes follow the gap rule (:class:`Program`), so the
+        fall-through address ``address + size`` always lands on the
+        textually next instruction, as Algorithm 1 requires.  Lines are
+        numbered as ``str.splitlines`` numbers them.
         """
         self.skipped_lines = 0
         self.labels = {}
@@ -272,7 +187,22 @@ class AsmParser:
             add_mnemonic(mnemonic)
             add_operands(rest)
             add_size(size)
-        return self._columns(addresses, mnemonics, operands, sizes, pending)
+        program = Program.from_rows(addresses, sizes, mnemonics, operands)
+        if len(program):
+            # A label at end-of-file points one past the last instruction.
+            for label in pending:
+                labels.setdefault(label, int(program.addresses[-1]) + 1)
+        return program
+
+    def parse_file(self, path: str) -> Program:
+        """Parse an ``.asm`` file from disk (UTF-8 with latin-1 fallback)."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError:
+            with open(path, "r", encoding="latin-1") as handle:
+                text = handle.read()
+        return self.parse(text)
 
     # ------------------------------------------------------------------
     # internals
@@ -340,35 +270,6 @@ class AsmParser:
             raise AsmParseError(f"{reason}: {line.strip()!r}", line_number)
         self.skipped_lines += 1
         return None
-
-    def _columns(
-        self,
-        addresses: List[int],
-        mnemonics: List[str],
-        operands: List[str],
-        sizes: List[int],
-        trailing_labels: List[str],
-    ) -> Listing:
-        if not addresses:
-            return Listing(np.zeros(0, np.int64), np.zeros(0, np.int64), [], [])
-        try:
-            column = np.array(addresses, dtype=np.int64)
-        except OverflowError:  # beyond int64: exact Python ints
-            column = np.array(addresses, dtype=object)
-        if not (column[1:] > column[:-1]).all():
-            # Sort, keeping the first occurrence of a repeated address,
-            # as IDA listings repeat addresses for multi-line data items.
-            column, first = np.unique(column, return_index=True)
-            mnemonics = [mnemonics[i] for i in first.tolist()]
-            operands = [operands[i] for i in first.tolist()]
-            sizes = [sizes[i] for i in first.tolist()]
-        gaps = np.empty(len(column), dtype=column.dtype)
-        gaps[:-1] = np.diff(column)
-        gaps[-1] = max(sizes[-1], 1)
-        # A label at end-of-file points one past the last instruction.
-        for label in trailing_labels:
-            self.labels.setdefault(label, int(column[-1]) + 1)
-        return Listing(column, gaps, mnemonics, operands)
 
     def resolve_target(self, operand: str) -> Optional[int]:
         """Resolve a jump/call operand to a destination address.

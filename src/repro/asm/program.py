@@ -2,154 +2,137 @@
 
 Section IV-A of the paper: "we first pre-process the input files so that
 the resulting program ``P`` is a one-to-one mapping from sorted addresses
-to assembly instructions, e.g. ``P : Z+ -> I``".  This module provides
-that structure plus the iteration helpers (``getNextInst``) that
-Algorithm 2 assumes.
-
-A program parsed from text (:meth:`Program.from_columns`) holds the
-parser's columns and makes its :class:`Instruction` objects on first use,
-so a front end that reads only the columns makes none.
+to assembly instructions, e.g. ``P : Z+ -> I``".  A :class:`Program`
+holds ``P`` as columns, one entry per instruction, and makes an
+:class:`Instruction` only when one is asked for.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+import bisect
+from typing import Iterator, List, Optional, Sequence
 
-from repro.asm.instruction import Instruction
+import numpy as np
+
+from repro.asm.instruction import Instruction, split_operands
 from repro.exceptions import AsmParseError
 
-#: The attributes a program made from columns fills on first use.
-_OBJECT_VIEW = frozenset({"_by_address", "_sorted_addresses", "_sorted_dirty"})
+
+def int_column(values: Sequence[int]) -> np.ndarray:
+    """``values`` as int64, or as exact Python ints past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def iter_instructions(
+    addresses: np.ndarray,
+    sizes: np.ndarray,
+    mnemonics: Sequence[str],
+    operands: Sequence[str],
+) -> Iterator[Instruction]:
+    """One :class:`Instruction` per row of the columns."""
+    for address, size, mnemonic, text in zip(
+        addresses.tolist(), sizes.tolist(), mnemonics, operands
+    ):
+        yield Instruction(address, mnemonic, split_operands(text), size)
 
 
 class Program:
-    """An ordered, address-indexed sequence of instructions.
+    """An immutable address-ordered instruction sequence, held as columns.
 
-    The class maintains the invariant that instruction addresses are
-    unique and iteration is in ascending address order, which is what the
-    two-pass CFG construction relies on.
+    ``addresses`` are ascending and unique (:func:`int_column`);
+    ``sizes`` follow the gap rule: each instruction's size is the
+    distance to the next address, so ``address + size`` lands on the
+    textually next instruction as Algorithm 1 requires, and the last one
+    keeps its own size, at least one.  ``mnemonics`` are lower-cased and
+    ``operands`` holds each instruction's operand text, which
+    :func:`split_operands` splits.
     """
 
-    #: The parser's columns (:class:`repro.asm.parser.Listing`) while no
-    #: instruction object has been made, else ``None``.
-    columns: Optional[Any] = None
-
-    def __init__(self, instructions: Iterable[Instruction] = ()) -> None:
-        self._by_address: Dict[int, Instruction] = {}
-        self._sorted_addresses: List[int] = []
-        self._sorted_dirty = False
-        for instruction in instructions:
-            self.add(instruction)
+    def __init__(self, instructions: Sequence[Instruction] = ()) -> None:
+        instructions = list(instructions)
+        seen = set()
+        for inst in instructions:
+            if inst.address in seen:
+                raise AsmParseError(f"duplicate instruction address {inst.address:#x}")
+            seen.add(inst.address)
+        self._set(
+            [inst.address for inst in instructions],
+            [inst.size for inst in instructions],
+            [inst.mnemonic for inst in instructions],
+            [inst.operand_text() for inst in instructions],
+        )
 
     @classmethod
-    def from_columns(cls, listing: Any) -> "Program":
-        """The program of a scanned listing, its instructions made on first use.
+    def from_rows(
+        cls,
+        addresses: List[int],
+        sizes: List[int],
+        mnemonics: List[str],
+        operands: List[str],
+    ) -> "Program":
+        """The program of rows in listing order, as :meth:`AsmParser.parse` reads them.
 
-        ``listing`` is a :class:`repro.asm.parser.Listing`; its
-        ``instructions()`` are made the first time anything but
-        :attr:`columns` or ``len`` is asked for, and from then on the
-        objects are the program and :attr:`columns` is ``None``.
+        Rows are sorted by address, the first of a repeated address kept,
+        as IDA listings repeat addresses for multi-line data items.
         """
         program = cls.__new__(cls)
-        program.columns = listing
+        program._set(addresses, sizes, mnemonics, operands)
         return program
 
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for attributes not yet set: a program made from
-        # columns makes its instruction objects now.
-        listing = self.columns
-        if name not in _OBJECT_VIEW or listing is None:
-            raise AttributeError(name)
-        self.columns = None
-        Program.__init__(self, listing.instructions())
-        return self.__dict__[name]
+    def _set(self, addresses, sizes, mnemonics, operands) -> None:
+        column = int_column(addresses)
+        if not (column[1:] > column[:-1]).all():
+            column, first = np.unique(column, return_index=True)
+            rows = first.tolist()
+            sizes = [sizes[i] for i in rows]
+            mnemonics = [mnemonics[i] for i in rows]
+            operands = [operands[i] for i in rows]
+        gaps = np.empty(len(column), dtype=column.dtype)
+        if len(column):
+            gaps[:-1] = np.diff(column)
+            gaps[-1] = max(sizes[-1], 1)
+        self.addresses = column
+        self.sizes = gaps
+        self.mnemonics = mnemonics
+        self.operands = operands
 
-    def add(self, instruction: Instruction) -> None:
-        """Insert an instruction; addresses must be unique."""
-        if instruction.address in self._by_address:
-            raise AsmParseError(
-                f"duplicate instruction address {instruction.address:#x}"
-            )
-        self._by_address[instruction.address] = instruction
-        self._sorted_addresses.append(instruction.address)
-        self._sorted_dirty = True
+    def _row(self, address: int) -> Optional[int]:
+        index = bisect.bisect_left(self.addresses, address)
+        if index < len(self.addresses) and self.addresses[index] == address:
+            return index
+        return None
 
-    def _ensure_sorted(self) -> None:
-        if self._sorted_dirty:
-            self._sorted_addresses.sort()
-            self._sorted_dirty = False
+    def _instruction(self, row: int) -> Instruction:
+        return next(iter_instructions(
+            self.addresses[row:row + 1], self.sizes[row:row + 1],
+            self.mnemonics[row:row + 1], self.operands[row:row + 1],
+        ))
 
     def __len__(self) -> int:
-        if self.columns is not None:
-            return len(self.columns)
-        return len(self._by_address)
+        return len(self.mnemonics)
 
     def __contains__(self, address: int) -> bool:
-        return address in self._by_address
+        return self._row(address) is not None
 
     def __getitem__(self, address: int) -> Instruction:
-        try:
-            return self._by_address[address]
-        except KeyError:
-            raise KeyError(f"no instruction at address {address:#x}") from None
+        row = self._row(address)
+        if row is None:
+            raise KeyError(f"no instruction at address {address:#x}")
+        return self._instruction(row)
 
     def get(self, address: int) -> Optional[Instruction]:
         """The instruction at ``address``, or ``None``."""
-        return self._by_address.get(address)
+        row = self._row(address)
+        return None if row is None else self._instruction(row)
 
     def __iter__(self) -> Iterator[Instruction]:
-        self._ensure_sorted()
-        for address in self._sorted_addresses:
-            yield self._by_address[address]
-
-    @property
-    def addresses(self) -> List[int]:
-        """All instruction addresses in ascending order."""
-        self._ensure_sorted()
-        return list(self._sorted_addresses)
+        return iter_instructions(
+            self.addresses, self.sizes, self.mnemonics, self.operands
+        )
 
     def first(self) -> Optional[Instruction]:
         """The instruction with the lowest address, or ``None`` if empty."""
-        self._ensure_sorted()
-        if not self._sorted_addresses:
-            return None
-        return self._by_address[self._sorted_addresses[0]]
-
-    def next_instruction(self, instruction: Instruction) -> Optional[Instruction]:
-        """``getNextInst(P, inst)`` from Algorithm 2.
-
-        Returns the instruction that textually follows ``instruction``
-        (the one at the next higher address), or ``None`` when
-        ``instruction`` is the last one.
-        """
-        self._ensure_sorted()
-        # Fast path: contiguous encodings mean next_address is usually it.
-        fast = self._by_address.get(instruction.next_address)
-        if fast is not None:
-            return fast
-        # Slow path: binary search for the next higher address (listings
-        # may contain gaps between sections).
-        import bisect
-
-        index = bisect.bisect_right(self._sorted_addresses, instruction.address)
-        if index >= len(self._sorted_addresses):
-            return None
-        return self._by_address[self._sorted_addresses[index]]
-
-    def nearest_at_or_after(self, address: int) -> Optional[Instruction]:
-        """The instruction at ``address``, or the first one after it.
-
-        Jump targets occasionally land between instructions in noisy
-        disassembly; resolving them to the next real instruction mirrors
-        what IDA-style tools do.
-        """
-        exact = self._by_address.get(address)
-        if exact is not None:
-            return exact
-        import bisect
-
-        self._ensure_sorted()
-        index = bisect.bisect_left(self._sorted_addresses, address)
-        if index >= len(self._sorted_addresses):
-            return None
-        return self._by_address[self._sorted_addresses[index]]
+        return self._instruction(0) if len(self) else None

@@ -65,17 +65,11 @@ def extract_call_graph(
         graph.add_function(function)
 
     # Pass 3: per-function local CFGs and call edges.
+    builder = CfgBuilder(resolve_target=resolve_target, follow_calls=False)
     for function in graph.functions():
-        sub_program = Program()
-        for inst in function.instructions:
-            sub_program.add(_reset_tags(inst))
-        if len(sub_program) > 0:
-            builder = CfgBuilder(
-                resolve_target=resolve_target, follow_calls=False
-            )
-            function.local_cfg = builder.build(
-                sub_program, name=function.name
-            )
+        function.local_cfg = builder.build(
+            Program(function.instructions), name=function.name
+        )
         for inst in function.instructions:
             if inst.flow_kind is ControlFlowKind.CALL and inst.operands:
                 target = resolve_target(inst.operands[0])
@@ -84,17 +78,6 @@ def extract_call_graph(
                         function.callees.append(target)
                     graph.add_call(function.entry_address, target)
     return graph
-
-
-def _reset_tags(inst: Instruction) -> Instruction:
-    """Fresh copy with clean CFG tags (the instruction may have been
-    tagged by an earlier whole-program pass)."""
-    return Instruction(
-        address=inst.address,
-        mnemonic=inst.mnemonic,
-        operands=list(inst.operands),
-        size=inst.size,
-    )
 
 
 def call_graph_from_text(text: str, name: str = "") -> CallGraph:

@@ -1,32 +1,25 @@
-"""Second pass of CFG construction: block creation and connection.
+"""CFG construction: Algorithms 1 and 2 of the paper over a program's columns.
 
-This is Algorithm 2 of the paper (``CfgBuilder::connectBlocks``).  It
-iterates the tagged program once, creating blocks on the fly at every
-instruction whose ``start`` tag is set, wiring fall-through edges when the
-current instruction falls through into a block start, and wiring branch
-edges for every instruction with a resolved ``branch_to`` address.
-
-:func:`connect_columns` computes the same blocks and edges as array
-operations over a scanned :class:`~repro.asm.parser.Listing`, with no
-per-instruction object.  :meth:`CfgBuilder.build` uses it for a program
-parsed from text; the object walk above stays the reference, and builds
-such a graph's block objects when they are first asked for.
+Section IV-A builds a CFG in two passes over ``P : address ->
+instruction``: Algorithm 1 tags block starts, branch targets and
+fall-throughs, and Algorithm 2 (``CfgBuilder::connectBlocks``) creates
+the blocks and wires their edges.  :func:`connect_columns` computes the
+same blocks and edges as array operations over a
+:class:`~repro.asm.program.Program`, with no per-instruction object, and
+returns them as a :class:`ControlFlowGraph`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.asm.instruction import first_operand
 from repro.asm.isa import FLOW_KIND_OF, ControlFlowKind
-from repro.asm.parser import AsmParser, Listing, first_operand
+from repro.asm.parser import AsmParser
 from repro.asm.program import Program
-from repro.asm.visitor import InstructionTagger
-from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import CfgConstructionError
 
@@ -37,11 +30,19 @@ def _unresolved(operand: str) -> Optional[int]:
 
 
 class CfgBuilder:
-    """Builds a :class:`ControlFlowGraph` from a tagged program.
+    """Builds a :class:`ControlFlowGraph` from a program.
 
-    The two-pass structure of Section IV-A is preserved exactly:
-    :meth:`build` first runs the :class:`InstructionTagger` (pass 1,
-    Algorithm 1) and then :meth:`connect_blocks` (pass 2, Algorithm 2).
+    Parameters
+    ----------
+    resolve_target:
+        Callable mapping a branch operand string to a destination address
+        (or ``None`` when statically unknown).  Typically
+        :meth:`repro.asm.parser.AsmParser.resolve_target`.
+    follow_calls:
+        When ``True``, ``call`` instructions contribute a branch edge to
+        the callee (intra-procedural *and* inter-procedural CFG, which is
+        what MAGIC builds over whole ``.asm`` files).  When ``False``, a
+        call only falls through to the instruction after it.
     """
 
     def __init__(
@@ -53,78 +54,10 @@ class CfgBuilder:
         self.follow_calls = follow_calls
 
     def build(self, program: Program, name: str = "") -> ControlFlowGraph:
-        """Tag ``program`` and assemble its control flow graph.
-
-        A program parsed from text that still holds its columns gets a
-        graph over :func:`connect_columns`, whose block objects this
-        method makes (tagging ``program``) only when first asked for.
-        """
-        if len(program) == 0:
-            raise CfgConstructionError("cannot build a CFG from an empty program")
-        if program.columns is not None and self.follow_calls:
-            return ControlFlowGraph.from_columns(
-                connect_columns(program.columns, self._resolve_target),
-                partial(self._tag_and_connect, program, name),
-                name=name,
-            )
-        return self._tag_and_connect(program, name)
-
-    def _tag_and_connect(self, program: Program, name: str) -> ControlFlowGraph:
-        tagger = InstructionTagger(self._resolve_target, follow_calls=self.follow_calls)
-        tagger.tag(program)
-        return self.connect_blocks(program, name=name)
-
-    def build_from_text(self, text: str, name: str = "") -> ControlFlowGraph:
-        """Parse listing text and build its CFG in one call."""
-        parser = AsmParser()
-        program = parser.parse(text)
-        builder = CfgBuilder(
-            resolve_target=parser.resolve_target,
-            follow_calls=self.follow_calls,
+        """The control flow graph of ``program`` (:func:`connect_columns`)."""
+        return connect_columns(
+            program, self._resolve_target, self.follow_calls, name=name
         )
-        return builder.build(program, name=name)
-
-    def connect_blocks(self, program: Program, name: str = "") -> ControlFlowGraph:
-        """Algorithm 2: create vertices and edges over a tagged program."""
-        graph = ControlFlowGraph(name=name)
-        blocks_by_address: Dict[int, BasicBlock] = {}
-
-        def get_block_at_addr(address: int) -> BasicBlock:
-            """``getBlockAtAddr`` helper: fetch or create the block."""
-            block = blocks_by_address.get(address)
-            if block is None:
-                block = BasicBlock(start_address=address)
-                blocks_by_address[address] = block
-                graph.add_block(block)
-            return block
-
-        curr_block: Optional[BasicBlock] = None
-        for inst in program:
-            if inst.start:
-                curr_block = get_block_at_addr(inst.address)
-            if curr_block is None:
-                # Defensive: the tagger always marks the first instruction
-                # as a start, so this only fires on inconsistent tags.
-                curr_block = get_block_at_addr(inst.address)
-            next_block = curr_block
-
-            next_inst = program.next_instruction(inst)
-            if next_inst is not None:
-                if inst.fall_through and next_inst.start:
-                    next_block = get_block_at_addr(next_inst.address)
-                    graph.add_edge(curr_block, next_block)
-
-            if inst.branch_to is not None:
-                target = program.nearest_at_or_after(inst.branch_to)
-                if target is not None:
-                    block = get_block_at_addr(target.address)
-                    graph.add_edge(curr_block, block)
-
-            curr_block.append(inst)
-            curr_block = next_block
-
-        graph.remove_empty_blocks()
-        return graph
 
 
 _KINDS = list(ControlFlowKind)
@@ -135,56 +68,42 @@ _FLOW_CODE_OF: Dict[str, int] = {
 }
 _SEQUENTIAL = _KINDS.index(ControlFlowKind.SEQUENTIAL)
 #: Indexed by flow code: the kinds that fall through to the next
-#: instruction, and the kinds whose operand names a branch target.
-_FALLS_THROUGH, _BRANCHES = (
+#: instruction, and the kinds whose operand names a branch target with
+#: calls followed and without.
+_FALLS_THROUGH, _BRANCHES, _JUMPS = (
     np.array([kind in kinds for kind in _KINDS])
     for kinds in (
         {ControlFlowKind.SEQUENTIAL, ControlFlowKind.CONDITIONAL_JUMP,
          ControlFlowKind.CALL},
         {ControlFlowKind.CONDITIONAL_JUMP, ControlFlowKind.UNCONDITIONAL_JUMP,
          ControlFlowKind.CALL},
+        {ControlFlowKind.CONDITIONAL_JUMP, ControlFlowKind.UNCONDITIONAL_JUMP},
     )
 )
 
 
-@dataclass
-class BlockColumns:
-    """The basic blocks of a :class:`Listing` as arrays.
-
-    ``owner[i]`` is the block of instruction ``i``, with blocks numbered
-    in address order, and ``edges`` is the ``(2, E)`` int64 array of
-    ``(source, destination)`` block pairs sorted without duplicates:
-    the vertex numbering and edge list of the :class:`ControlFlowGraph`
-    that :class:`CfgBuilder` builds from the same listing.
-    """
-
-    listing: Listing
-    owner: np.ndarray
-    edges: np.ndarray
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.owner[-1]) + 1
-
-
 def connect_columns(
-    listing: Listing, resolve_target: Callable[[str], Optional[int]]
-) -> BlockColumns:
-    """Algorithms 1 and 2 as array operations over ``listing``, calls followed.
+    program: Program,
+    resolve_target: Callable[[str], Optional[int]],
+    follow_calls: bool = True,
+    name: str = "",
+) -> ControlFlowGraph:
+    """Algorithms 1 and 2 as array operations over ``program``.
 
     Block starts are the first instruction, every instruction after a
     non-sequential one, and exact branch targets; a block id is the
     number of starts up to an instruction.  A fall-through edge joins an
     instruction that falls through to a following start.  A branch edge
     goes to the block of the nearest instruction at or after the target
-    when that instruction is a start; otherwise the reference builds an
-    empty placeholder block, which it drops along with the edge.
+    when that instruction is a start; a target inside a block, or past
+    the last instruction, gives no edge.  Calls branch only when
+    ``follow_calls`` is set.  The graph shares ``program``'s columns.
     """
-    count = len(listing)
+    count = len(program)
     if count == 0:
         raise CfgConstructionError("cannot build a CFG from an empty program")
     flow = np.fromiter(
-        map(_FLOW_CODE_OF.get, listing.mnemonics, repeat(_SEQUENTIAL)),
+        map(_FLOW_CODE_OF.get, program.mnemonics, repeat(_SEQUENTIAL)),
         np.int8,
         count,
     )
@@ -192,12 +111,12 @@ def connect_columns(
     start[0] = True
     np.not_equal(flow[:-1], _SEQUENTIAL, out=start[1:])
 
-    branching = _BRANCHES[flow]
-    addresses = listing.addresses
+    branching = (_BRANCHES if follow_calls else _JUMPS)[flow]
+    addresses = program.addresses
     last = int(addresses[-1])
     sources, targets = [], []
     for index in np.flatnonzero(branching).tolist():
-        operand = first_operand(listing.operands[index])
+        operand = first_operand(program.operands[index])
         target = None if operand is None else resolve_target(operand)
         # Past the last instruction there is nothing to branch to.
         if target is not None and target <= last:
@@ -216,16 +135,21 @@ def connect_columns(
         owner[np.array(sources, dtype=np.int64)[lands]] * num_blocks
         + owner[reached[lands]],
     ]))
-    return BlockColumns(
-        listing=listing,
-        owner=owner,
-        edges=np.stack([keys // num_blocks, keys % num_blocks]),
+    return ControlFlowGraph(
+        (addresses, program.sizes, program.mnemonics, program.operands),
+        owner,
+        addresses[start],
+        np.stack([keys // num_blocks, keys % num_blocks]),
+        name,
     )
 
 
 def build_cfg_from_text(text: str, name: str = "") -> ControlFlowGraph:
     """Convenience wrapper: listing text -> :class:`ControlFlowGraph`."""
-    return CfgBuilder().build_from_text(text, name=name)
+    parser = AsmParser()
+    program = parser.parse(text)
+    builder = CfgBuilder(resolve_target=parser.resolve_target)
+    return builder.build(program, name=name)
 
 
 def build_cfg_from_file(path: str, name: str = "") -> ControlFlowGraph:

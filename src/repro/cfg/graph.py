@@ -1,187 +1,187 @@
 """Control flow graph: directed graph of basic blocks.
 
-The CFG is the central data structure of MAGIC.  A vertex is a
-:class:`BasicBlock`; a directed edge ``u -> v`` exists when the last
-instruction of ``u`` falls through to the first instruction of ``v`` or
-branches to some instruction in ``v`` (Section II-A).
+The CFG is the central data structure of MAGIC.  A vertex is a basic
+block; a directed edge ``u -> v`` exists when the last instruction of
+``u`` falls through to the first instruction of ``v`` or branches to
+some instruction in ``v`` (Section II-A).
 
-The graph numbers its vertices in address order (:meth:`vertex_index`);
-:meth:`repro.features.acfg.ACFG.from_cfg` turns :meth:`edges` into the
-edge list DGCNN's operators ``Â = A + I`` and ``D̂^-1 Â`` are built
-from.  :meth:`to_networkx` bridges to analysis and visualisation.
-
-A graph built from a parsed program's columns
-(:meth:`ControlFlowGraph.from_columns`) holds its vertices and edges as
-arrays and makes its :class:`BasicBlock` objects on first use.
+A graph is held as arrays: the instruction rows, the block of each row,
+the block start addresses, and the edges as vertex indices, vertices
+numbered in address order (:meth:`vertex_index`).
+:meth:`repro.features.acfg.ACFG.from_cfg` reads the arrays directly;
+:meth:`blocks`, :meth:`successors` and the other queries make
+:class:`BasicBlock` views of them, and :meth:`to_networkx` bridges to
+analysis and visualisation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+import bisect
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.asm.instruction import Instruction
+from repro.asm.program import int_column, iter_instructions
 from repro.cfg.basic_block import BasicBlock
-from repro.exceptions import CfgConstructionError
-
-#: The attributes a graph made from columns fills on first use.
-_OBJECT_VIEW = frozenset({"_blocks", "_successors"})
+from repro.exceptions import CfgConstructionError, SerializationError
 
 
 class ControlFlowGraph:
-    """A directed graph of basic blocks, ordered by start address."""
+    """A directed graph of basic blocks, ordered by start address.
 
-    #: The blocks as arrays (:class:`repro.cfg.builder.BlockColumns`)
-    #: while no block object has been made, else ``None``.
-    columns: Optional[Any] = None
+    Parameters
+    ----------
+    rows:
+        ``(addresses, sizes, mnemonics, operands)``, the columns of a
+        :class:`~repro.asm.program.Program`, with the rows grouped by
+        block in vertex order.  A graph built from a program shares the
+        program's columns.
+    owner:
+        The vertex of each row, a non-decreasing int64 array.
+    starts:
+        The start address of each vertex, ascending.
+    edge_index:
+        The ``(2, E)`` int64 array of ``(source, destination)`` vertex
+        pairs, sorted without duplicates.
+    """
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(
+        self,
+        rows: Tuple[np.ndarray, np.ndarray, List[str], List[str]],
+        owner: np.ndarray,
+        starts: np.ndarray,
+        edge_index: np.ndarray,
+        name: str = "",
+    ) -> None:
+        self.addresses, self.sizes, self.mnemonics, self.operands = rows
+        self.owner = owner
+        self.starts = starts
+        self.edge_index = edge_index
         self.name = name
-        self._blocks: Dict[int, BasicBlock] = {}
-        self._successors: Dict[int, Set[int]] = {}
 
     @classmethod
-    def from_columns(
+    def from_blocks(
         cls,
-        columns: Any,
-        make_blocks: Callable[[], "ControlFlowGraph"],
+        blocks: Iterable[Tuple[int, Sequence[Instruction]]],
+        edges: Iterable[Tuple[int, int]] = (),
         name: str = "",
     ) -> "ControlFlowGraph":
-        """A graph over ``columns``, its block objects made on first use.
+        """The graph of ``(start, instructions)`` blocks and address-pair edges.
 
-        ``columns`` is a :class:`repro.cfg.builder.BlockColumns`, and
-        ``make_blocks()`` builds the same graph as objects.  It runs the
-        first time anything but :attr:`name`, :attr:`columns` or the
-        vertex and edge counts is asked for; from then on the objects
-        are the graph and :attr:`columns` is ``None``.
+        Blocks may come in any order and may be empty; parallel edges
+        collapse.  A repeated block start raises
+        :class:`CfgConstructionError`, and an edge naming a missing block
+        :class:`SerializationError`.
         """
-        graph = cls.__new__(cls)
-        graph.name = name
-        graph.columns = columns
-        graph._make_blocks = make_blocks
-        return graph
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for attributes not yet set: a graph made from
-        # columns makes its block objects now.
-        make_blocks = self.__dict__.get("_make_blocks")
-        if name not in _OBJECT_VIEW or make_blocks is None:
-            raise AttributeError(name)
-        built = make_blocks()
-        del self._make_blocks
-        self.columns = None
-        self._blocks, self._successors = built._blocks, built._successors
-        return self.__dict__[name]
-
-    def __getstate__(self) -> Dict[str, Any]:
-        self._blocks  # a pickled graph carries its objects, not the columns
-        return self.__dict__
-
-    # ------------------------------------------------------------------
-    # construction
-
-    def add_block(self, block: BasicBlock) -> BasicBlock:
-        """Insert ``block``; duplicate start addresses are rejected."""
-        if block.start_address in self._blocks:
-            raise CfgConstructionError(
-                f"duplicate block at {block.start_address:#x}"
-            )
-        self._blocks[block.start_address] = block
-        self._successors.setdefault(block.start_address, set())
-        return block
-
-    def get_block(self, start_address: int) -> Optional[BasicBlock]:
-        return self._blocks.get(start_address)
-
-    def add_edge(self, src: BasicBlock, dst: BasicBlock) -> None:
-        """Add the directed edge ``src -> dst``; both must be in the graph."""
-        if src.start_address not in self._blocks:
-            raise CfgConstructionError(
-                f"edge source {src.start_address:#x} not in graph"
-            )
-        if dst.start_address not in self._blocks:
-            raise CfgConstructionError(
-                f"edge target {dst.start_address:#x} not in graph"
-            )
-        self._successors[src.start_address].add(dst.start_address)
-
-    def remove_empty_blocks(self) -> None:
-        """Drop blocks that ended up with no instructions.
-
-        Dangling jump targets into data can create empty placeholder
-        blocks during construction; a finished CFG has none.
-        """
-        empty = [addr for addr, b in self._blocks.items() if b.is_empty]
-        for addr in empty:
-            del self._blocks[addr]
-            del self._successors[addr]
-        for succ in self._successors.values():
-            succ.difference_update(empty)
+        blocks = sorted(blocks, key=itemgetter(0))
+        vertex: Dict[int, int] = {}
+        for start, _ in blocks:
+            if start in vertex:
+                raise CfgConstructionError(f"duplicate block at {start:#x}")
+            vertex[start] = len(vertex)
+        n = max(len(blocks), 1)
+        keys = []
+        for src, dst in edges:
+            if src not in vertex or dst not in vertex:
+                raise SerializationError(
+                    f"edge ({src:#x}, {dst:#x}) references a missing block"
+                )
+            keys.append(vertex[src] * n + vertex[dst])
+        keys = np.unique(np.array(keys, dtype=np.int64))
+        instructions = [inst for _, block in blocks for inst in block]
+        rows = (
+            int_column([inst.address for inst in instructions]),
+            int_column([inst.size for inst in instructions]),
+            [inst.mnemonic for inst in instructions],
+            [inst.operand_text() for inst in instructions],
+        )
+        owner = np.repeat(np.arange(len(blocks)), np.array(
+            [len(block) for _, block in blocks], dtype=np.int64
+        ))
+        return cls(
+            rows, owner, int_column(list(vertex)),
+            np.stack([keys // n, keys % n]), name,
+        )
 
     # ------------------------------------------------------------------
     # queries
 
     @property
     def num_vertices(self) -> int:
-        if self.columns is not None:
-            return self.columns.num_blocks
-        return len(self._blocks)
+        return len(self.starts)
 
     @property
     def num_edges(self) -> int:
-        if self.columns is not None:
-            return self.columns.edges.shape[1]
-        return sum(len(s) for s in self._successors.values())
+        return self.edge_index.shape[1]
 
     def __len__(self) -> int:
         return self.num_vertices
 
+    def out_degrees(self) -> np.ndarray:
+        """Number of successors of each vertex (a Table I attribute)."""
+        return np.bincount(self.edge_index[0], minlength=self.num_vertices)
+
+    def _vertex(self, start_address: int) -> int:
+        """The vertex starting at ``start_address``, or -1."""
+        index = bisect.bisect_left(self.starts, start_address)
+        if index < self.num_vertices and self.starts[index] == start_address:
+            return index
+        return -1
+
+    def _block(self, vertex: int) -> BasicBlock:
+        lo, hi = np.searchsorted(self.owner, [vertex, vertex + 1]).tolist()
+        return BasicBlock(int(self.starts[vertex]), list(iter_instructions(
+            self.addresses[lo:hi], self.sizes[lo:hi],
+            self.mnemonics[lo:hi], self.operands[lo:hi],
+        )))
+
     def blocks(self) -> List[BasicBlock]:
         """All blocks in ascending start-address order."""
-        return [self._blocks[a] for a in sorted(self._blocks)]
+        return [self._block(vertex) for vertex in range(self.num_vertices)]
 
     def __iter__(self) -> Iterator[BasicBlock]:
         return iter(self.blocks())
 
+    def get_block(self, start_address: int) -> Optional[BasicBlock]:
+        vertex = self._vertex(start_address)
+        return None if vertex < 0 else self._block(vertex)
+
     def successors(self, block: BasicBlock) -> List[BasicBlock]:
         """Successor blocks of ``block`` in ascending address order."""
-        return [
-            self._blocks[a]
-            for a in sorted(self._successors.get(block.start_address, ()))
-        ]
+        src, dst = self.edge_index
+        targets = dst[src == self._vertex(block.start_address)]
+        return [self._block(vertex) for vertex in targets.tolist()]
 
     def out_degree(self, block: BasicBlock) -> int:
         """Number of offspring of ``block`` (a Table I attribute)."""
-        return len(self._successors.get(block.start_address, ()))
+        vertex = self._vertex(block.start_address)
+        return int(np.count_nonzero(self.edge_index[0] == vertex))
 
     def in_degree(self, block: BasicBlock) -> int:
         """Number of predecessors of ``block``."""
-        address = block.start_address
-        return sum(
-            1 for successors in self._successors.values() if address in successors
-        )
+        vertex = self._vertex(block.start_address)
+        return int(np.count_nonzero(self.edge_index[1] == vertex))
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as ``(src_start, dst_start)`` address pairs, sorted."""
-        return [
-            (src, dst)
-            for src in sorted(self._successors)
-            for dst in sorted(self._successors[src])
-        ]
+        starts = self.starts.tolist()
+        return [(starts[src], starts[dst]) for src, dst in zip(*self.edge_index.tolist())]
 
     def entry_block(self) -> Optional[BasicBlock]:
         """The block with the lowest start address, or ``None`` if empty."""
-        if not self._blocks:
-            return None
-        return self._blocks[min(self._blocks)]
+        return self._block(0) if self.num_vertices else None
 
     def total_instructions(self) -> int:
-        return sum(len(block) for block in self._blocks.values())
+        return len(self.mnemonics)
 
     # ------------------------------------------------------------------
     # vertex numbering (Section III-A notation)
 
     def vertex_index(self) -> Dict[int, int]:
         """Map block start address -> dense vertex index (address order)."""
-        return {addr: i for i, addr in enumerate(sorted(self._blocks))}
+        return {start: i for i, start in enumerate(self.starts.tolist())}
 
     # ------------------------------------------------------------------
     # interop
@@ -191,11 +191,9 @@ class ControlFlowGraph:
         import networkx as nx
 
         graph = nx.DiGraph(name=self.name)
-        for block in self.blocks():
-            graph.add_node(
-                block.start_address,
-                num_instructions=len(block),
-            )
+        sizes = np.bincount(self.owner, minlength=self.num_vertices).tolist()
+        for start, size in zip(self.starts.tolist(), sizes):
+            graph.add_node(start, num_instructions=size)
         graph.add_edges_from(self.edges())
         return graph
 

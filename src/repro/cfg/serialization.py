@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.asm.instruction import Instruction
-from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import SerializationError
 
@@ -56,31 +55,23 @@ def cfg_from_dict(data: dict) -> ControlFlowGraph:
     version = data.get("version")
     if version != _FORMAT_VERSION:
         raise SerializationError(f"unsupported CFG format version: {version!r}")
-    cfg = ControlFlowGraph(name=data.get("name", ""))
     try:
-        for block_data in data["blocks"]:
-            block = BasicBlock(start_address=int(block_data["start"]))
-            for inst_data in block_data["instructions"]:
-                block.append(
-                    Instruction(
-                        address=int(inst_data["addr"]),
-                        mnemonic=inst_data["mnemonic"],
-                        operands=list(inst_data["operands"]),
-                        size=int(inst_data["size"]),
-                    )
+        blocks = [
+            (int(block_data["start"]), [
+                Instruction(
+                    address=int(inst_data["addr"]),
+                    mnemonic=inst_data["mnemonic"],
+                    operands=list(inst_data["operands"]),
+                    size=int(inst_data["size"]),
                 )
-            cfg.add_block(block)
-        for src, dst in data["edges"]:
-            src_block = cfg.get_block(int(src))
-            dst_block = cfg.get_block(int(dst))
-            if src_block is None or dst_block is None:
-                raise SerializationError(
-                    f"edge ({src:#x}, {dst:#x}) references a missing block"
-                )
-            cfg.add_edge(src_block, dst_block)
+                for inst_data in block_data["instructions"]
+            ])
+            for block_data in data["blocks"]
+        ]
+        edges = [(int(src), int(dst)) for src, dst in data["edges"]]
+        return ControlFlowGraph.from_blocks(blocks, edges, name=data.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed CFG record: {exc}") from exc
-    return cfg
 
 
 def save_cfg(cfg: ControlFlowGraph, path: str) -> None:

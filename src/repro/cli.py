@@ -40,8 +40,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.asm.parser import AsmParser
-from repro.cfg.builder import CfgBuilder
+from repro.cfg.builder import build_cfg_from_file
 from repro.cfg.metrics import compute_cfg_metrics, to_dot
 from repro.cfg.serialization import load_cfg
 from repro.core.dgcnn import ModelConfig
@@ -51,19 +50,12 @@ from repro.features.acfg import ACFG
 from repro.train.trainer import TrainingConfig
 
 
-def _build_cfg_from_file(path: str):
-    parser = AsmParser()
-    program = parser.parse_file(path)
-    builder = CfgBuilder(resolve_target=parser.resolve_target)
-    return builder.build(program, name=os.path.basename(path))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = _build_cfg_from_file(args.listing)
+    cfg = build_cfg_from_file(args.listing, name=os.path.basename(args.listing))
     metrics = compute_cfg_metrics(cfg)
     print(f"{args.listing}:")
     for key, value in metrics.as_dict().items():

@@ -18,12 +18,7 @@ import scipy.sparse
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import FeatureExtractionError
-from repro.features.attributes import (
-    category_codes,
-    custom_extractors,
-    extract_attribute_matrix,
-    table_one,
-)
+from repro.features.attributes import extract_attribute_matrix
 
 
 @dataclasses.dataclass
@@ -163,10 +158,10 @@ class ACFG:
     ) -> "ACFG":
         """Extract an ACFG from a built CFG using the Table I attributes.
 
-        A graph built from a parsed program's columns gives its Table I
-        channels straight from the columns, with no block object.  Custom
-        registered extractors take ``(BasicBlock, ControlFlowGraph)``, so
-        with any registered the graph's block objects are used.
+        The Table I channels come from the graph's arrays
+        (:func:`~repro.features.attributes.extract_attribute_matrix`);
+        custom registered extractors take ``(BasicBlock,
+        ControlFlowGraph)`` from ``cfg.blocks()``.
 
         The extracted matrix is checked against the ACFG semantic
         invariants (:mod:`repro.features.validator`) before it leaves the
@@ -176,21 +171,11 @@ class ACFG:
         """
         from repro.features.validator import validate_attributes
 
-        blocks = cfg.columns
-        if blocks is not None and not custom_extractors():
-            edges = blocks.edges
-            listing = blocks.listing
-            attributes = table_one(
-                blocks.owner,
-                category_codes(listing.mnemonics),
-                listing.operands,
-                np.bincount(edges[0], minlength=blocks.num_blocks),
-            )
-        else:
-            index = cfg.vertex_index()
-            pairs = [index[address] for edge in cfg.edges() for address in edge]
-            edges = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            attributes = extract_attribute_matrix(cfg)
-        acfg = cls(edges=edges, attributes=attributes, label=label, name=cfg.name)
+        acfg = cls(
+            edges=cfg.edge_index,
+            attributes=extract_attribute_matrix(cfg),
+            label=label,
+            name=cfg.name,
+        )
         validate_attributes(acfg.attributes, acfg.out_degrees(), name=acfg.name)
         return acfg

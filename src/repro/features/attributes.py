@@ -148,27 +148,29 @@ def custom_extractors() -> List[AttributeExtractor]:
     return [fn for fn in _REGISTRY.values() if fn is not None]
 
 
-def _extract(blocks: Sequence[BasicBlock], graph: ControlFlowGraph) -> np.ndarray:
-    """Attribute rows of ``blocks``: the Table I channels, then custom ones.
+def extract_attribute_matrix(graph: ControlFlowGraph) -> np.ndarray:
+    """The attribute matrix ``X`` of shape ``(n, c)`` in vertex order.
 
-    Custom extractors run once per block.
+    The Table I channels come from the graph's arrays
+    (:func:`table_one`); custom extractors run once per block of
+    ``graph.blocks()``.
     """
-    instructions = [inst for block in blocks for inst in block.instructions]
-    owner = np.repeat(
-        np.arange(len(blocks)),
-        np.fromiter(map(len, blocks), np.int64, len(blocks)),
-    )
+    if not graph.num_vertices:
+        raise FeatureExtractionError(
+            f"cannot extract attributes from empty CFG {graph.name!r}"
+        )
     table = table_one(
-        owner,
-        category_codes([inst.mnemonic.lower() for inst in instructions]),
-        [inst.operand_text() for inst in instructions],
-        np.array([graph.out_degree(block) for block in blocks], dtype=np.int64),
+        graph.owner,
+        category_codes(graph.mnemonics),
+        graph.operands,
+        graph.out_degrees(),
     )
     custom = custom_extractors()
     if not custom:
         return table
     extra = np.array(
-        [[fn(block, graph) for fn in custom] for block in blocks], dtype=np.float64
+        [[fn(block, graph) for fn in custom] for block in graph.blocks()],
+        dtype=np.float64,
     )
     return np.column_stack([table, extra])
 
@@ -176,15 +178,5 @@ def _extract(blocks: Sequence[BasicBlock], graph: ControlFlowGraph) -> np.ndarra
 def extract_block_attributes(
     block: BasicBlock, graph: ControlFlowGraph
 ) -> np.ndarray:
-    """The attribute vector of one block, shape ``(c,)``."""
-    return _extract([block], graph)[0]
-
-
-def extract_attribute_matrix(graph: ControlFlowGraph) -> np.ndarray:
-    """The attribute matrix ``X`` of shape ``(n, c)`` in vertex order."""
-    blocks = graph.blocks()
-    if not blocks:
-        raise FeatureExtractionError(
-            f"cannot extract attributes from empty CFG {graph.name!r}"
-        )
-    return _extract(blocks, graph)
+    """The attribute vector of one block of ``graph``, shape ``(c,)``."""
+    return extract_attribute_matrix(graph)[graph.vertex_index()[block.start_address]]

@@ -39,7 +39,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cfg.builder import build_cfg_from_text
+from repro.cfg.builder import build_cfg_from_file, build_cfg_from_text
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.serialization import acfg_from_text, acfg_to_text, cfg_to_dict
 from repro.exceptions import (
@@ -171,17 +171,11 @@ def _worker_cfg_json(item: Tuple, ctx: WorkerContext) -> Dict:
     kill mid-write never leaves a torn JSON behind; the returned summary
     is what lands in the journal.
     """
-    from repro.asm.parser import AsmParser
-    from repro.cfg.builder import CfgBuilder
     from repro.cfg.serialization import save_cfg
 
     name, payload, _ = item
     path, destination = payload["path"], payload["destination"]
-    parser = AsmParser()
-    program = parser.parse_file(path)
-    cfg = CfgBuilder(resolve_target=parser.resolve_target).build(
-        program, name=name
-    )
+    cfg = build_cfg_from_file(path, name=name)
     _guard_size(name, cfg.num_vertices, ctx)
     staging = destination + ".tmp"
     save_cfg(cfg, staging)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asm.parser import AsmParser, _split_operands
+from repro.asm.instruction import split_operands
+from repro.asm.parser import AsmParser
 from repro.exceptions import AsmParseError
 
 
@@ -76,7 +77,7 @@ class TestBasicParsing:
             else:
                 current += ch
         operands.append(current.strip())
-        assert _split_operands(rest) == [op for op in operands if op]
+        assert split_operands(rest) == [op for op in operands if op]
 
 
 class TestLabels:

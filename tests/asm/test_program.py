@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm.instruction import Instruction
 from repro.asm.program import Program
+from repro.cfg.builder import connect_columns
 from repro.exceptions import AsmParseError
 
 
@@ -21,9 +22,11 @@ class TestProgramBasics:
         assert 0x13 not in program
 
     def test_duplicate_address_rejected(self):
-        program = make_program([0x10])
-        with pytest.raises(AsmParseError):
-            program.add(Instruction(address=0x10, mnemonic="mov"))
+        with pytest.raises(AsmParseError, match="0x10"):
+            Program([
+                Instruction(address=0x10, mnemonic="nop"),
+                Instruction(address=0x10, mnemonic="mov"),
+            ])
 
     def test_iteration_sorted_regardless_of_insertion_order(self):
         program = make_program([0x30, 0x10, 0x20])
@@ -43,35 +46,65 @@ class TestProgramBasics:
         program = make_program([0x30, 0x10])
         assert program.first().address == 0x10
 
+    def test_columns_follow_the_gap_rule(self):
+        program = Program([
+            Instruction(address=0x100, mnemonic="MOV", operands=["eax", "[ebx, 4]"], size=1),
+            Instruction(address=0x10, mnemonic="nop", size=1),
+            Instruction(address=0x14, mnemonic="retn", size=0),
+        ])
+        assert program.addresses.tolist() == [0x10, 0x14, 0x100]
+        assert program.sizes.tolist() == [4, 0xEC, 1]
+        assert program.mnemonics == ["nop", "retn", "mov"]
+        assert program.operands == ["", "", "eax, [ebx, 4]"]
+        assert program[0x100].operands == ["eax", "[ebx, 4]"]
+
+
+def resolver(operand):
+    if operand.startswith("loc_"):
+        return int(operand[4:], 16)
+    return None
+
+
+def columns_graph(rows):
+    """``connect_columns`` over rows of (address, mnemonic, operands)."""
+    program = Program(
+        Instruction(address=a, mnemonic=m, operands=list(ops), size=1)
+        for a, m, ops in rows
+    )
+    return connect_columns(program, resolver)
+
 
 class TestNextInstruction:
+    """``getNextInst``: the next row of the program, as CFG construction reads it."""
+
     def test_contiguous(self):
-        program = make_program([0x10, 0x11])
-        nxt = program.next_instruction(program[0x10])
-        assert nxt.address == 0x11
+        graph = columns_graph([(0x10, "jz", ["loc_12"]), (0x11, "nop", []), (0x12, "nop", [])])
+        assert graph.edges() == [(0x10, 0x11), (0x10, 0x12), (0x11, 0x12)]
 
     def test_gap_between_sections(self):
-        program = Program([
-            Instruction(address=0x10, mnemonic="nop", size=1),
-            Instruction(address=0x100, mnemonic="nop", size=1),
-        ])
-        nxt = program.next_instruction(program[0x10])
-        assert nxt.address == 0x100
+        graph = columns_graph([(0x10, "call", ["eax"]), (0x100, "nop", [])])
+        assert graph.starts.tolist() == [0x10, 0x100]
+        assert graph.edges() == [(0x10, 0x100)]
 
     def test_last_instruction_has_no_next(self):
-        program = make_program([0x10])
-        assert program.next_instruction(program[0x10]) is None
+        graph = columns_graph([(0x10, "nop", []), (0x11, "jnz", ["loc_10"])])
+        assert graph.num_vertices == 1
+        assert graph.edges() == [(0x10, 0x10)]
 
 
 class TestNearestAtOrAfter:
+    """A branch target resolves to the instruction at or after it."""
+
     def test_exact_hit(self):
-        program = make_program([0x10, 0x20])
-        assert program.nearest_at_or_after(0x20).address == 0x20
+        graph = columns_graph([(0x10, "jmp", ["loc_20"]), (0x11, "nop", []), (0x20, "nop", [])])
+        assert (0x10, 0x20) in graph.edges()
+        assert graph.starts.tolist() == [0x10, 0x11, 0x20]
 
     def test_snaps_forward(self):
-        program = make_program([0x10, 0x20])
-        assert program.nearest_at_or_after(0x15).address == 0x20
+        graph = columns_graph([(0x10, "jmp", ["loc_15"]), (0x20, "nop", [])])
+        assert graph.edges() == [(0x10, 0x20)]
 
     def test_past_the_end_is_none(self):
-        program = make_program([0x10])
-        assert program.nearest_at_or_after(0x999) is None
+        graph = columns_graph([(0x10, "jmp", ["loc_999"]), (0x11, "nop", [])])
+        assert graph.num_vertices == 2
+        assert graph.edges() == []

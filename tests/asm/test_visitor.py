@@ -1,8 +1,9 @@
-"""Tests for the tagging pass (Algorithm 1)."""
+"""Tests for the reference tagging pass (Algorithm 1)."""
 
 from repro.asm.instruction import Instruction
 from repro.asm.program import Program
-from repro.asm.visitor import InstructionTagger
+
+from tests.reference_front_end import InstructionTagger
 
 
 def make_program(rows):
@@ -28,9 +29,9 @@ class TestConditionalJump:
             (0x11, "nop", []),
             (0x12, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].branch_to == 0x12
-        assert program[0x12].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].branch_to == 0x12
+        assert tags[0x12].start is True
 
     def test_fall_through_marked_start(self):
         program = make_program([
@@ -38,18 +39,18 @@ class TestConditionalJump:
             (0x11, "nop", []),
             (0x12, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].fall_through is True
-        assert program[0x11].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].fall_through is True
+        assert tags[0x11].start is True
 
     def test_unresolvable_target_no_branch(self):
         program = make_program([
             (0x10, "jz", ["eax"]),
             (0x11, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].branch_to is None
-        assert program[0x10].fall_through is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].branch_to is None
+        assert tags[0x10].fall_through is True
 
 
 class TestUnconditionalJump:
@@ -59,9 +60,9 @@ class TestUnconditionalJump:
             (0x11, "nop", []),
             (0x12, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].fall_through is False
-        assert program[0x10].branch_to == 0x12
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].fall_through is False
+        assert tags[0x10].branch_to == 0x12
 
     def test_next_instruction_starts_new_block(self):
         program = make_program([
@@ -69,8 +70,8 @@ class TestUnconditionalJump:
             (0x11, "nop", []),
             (0x12, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x11].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x11].start is True
 
 
 class TestCall:
@@ -80,10 +81,10 @@ class TestCall:
             (0x11, "nop", []),
             (0x20, "retn", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].branch_to == 0x20
-        assert program[0x10].fall_through is True
-        assert program[0x20].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].branch_to == 0x20
+        assert tags[0x10].fall_through is True
+        assert tags[0x20].start is True
 
     def test_follow_calls_disabled(self):
         program = make_program([
@@ -91,9 +92,9 @@ class TestCall:
             (0x11, "nop", []),
             (0x20, "retn", []),
         ])
-        InstructionTagger(resolver, follow_calls=False).tag(program)
-        assert program[0x10].branch_to is None
-        assert program[0x10].fall_through is True
+        tags = InstructionTagger(resolver, follow_calls=False).tag(program)
+        assert tags[0x10].branch_to is None
+        assert tags[0x10].fall_through is True
 
 
 class TestReturnAndTerminate:
@@ -102,33 +103,33 @@ class TestReturnAndTerminate:
             (0x10, "retn", []),
             (0x11, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].is_return is True
-        assert program[0x10].fall_through is False
-        assert program[0x11].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].is_return is True
+        assert tags[0x10].fall_through is False
+        assert tags[0x11].start is True
 
     def test_hlt_terminates(self):
         program = make_program([
             (0x10, "hlt", []),
             (0x11, "nop", []),
         ])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].fall_through is False
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].fall_through is False
 
 
 class TestGeneralTagging:
     def test_first_instruction_always_start(self):
         program = make_program([(0x10, "nop", []), (0x11, "nop", [])])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].start is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].start is True
 
     def test_sequential_instructions_fall_through(self):
         program = make_program([(0x10, "mov", ["eax", "ebx"]), (0x11, "nop", [])])
-        InstructionTagger(resolver).tag(program)
-        assert program[0x10].fall_through is True
+        tags = InstructionTagger(resolver).tag(program)
+        assert tags[0x10].fall_through is True
 
     def test_branch_outside_program_keeps_target_address(self):
         program = make_program([(0x10, "jmp", ["loc_999"]), (0x11, "nop", [])])
-        InstructionTagger(resolver).tag(program)
+        tags = InstructionTagger(resolver).tag(program)
         # Target address recorded even though no instruction lives there.
-        assert program[0x10].branch_to == 0x999
+        assert tags[0x10].branch_to == 0x999

@@ -1,10 +1,13 @@
 """Tests for the two-pass CFG builder (Algorithms 1+2)."""
 
+import pickle
+
 import pytest
 
+from repro.asm.parser import AsmParser
+from repro.asm.program import Program
 from repro.cfg.builder import CfgBuilder, build_cfg_from_text
 from repro.exceptions import CfgConstructionError
-from repro.asm.program import Program
 
 from tests.conftest import SAMPLE_ASM, SAMPLE_BLOCK_STARTS, SAMPLE_EDGES
 
@@ -146,3 +149,36 @@ class TestInvariants:
         spans.sort()
         for (s1, e1), (s2, _) in zip(spans, spans[1:]):
             assert e1 <= s2
+
+
+#: The call from 0x401000's block is an edge only when calls are followed.
+CALL_ASM = (
+    ".text:00401000 push ebp\n"
+    ".text:00401001 call sub_401010\n"
+    ".text:00401006 retn\n"
+    ".text:00401010 mov eax, 0x1\n"
+    ".text:00401015 retn\n"
+)
+
+
+def graph_of(cfg):
+    return cfg.name, cfg.blocks(), cfg.edges()
+
+
+class TestRepeatedBuilds:
+    def test_a_second_build_of_one_program_ignores_the_first(self):
+        parser = AsmParser()
+        program = parser.parse(CALL_ASM)
+        first = CfgBuilder(parser.resolve_target, follow_calls=True).build(program)
+        assert (0x401000, 0x401010) in first.edges()
+        second = CfgBuilder(parser.resolve_target, follow_calls=False).build(program)
+        fresh_parser = AsmParser()
+        fresh = CfgBuilder(fresh_parser.resolve_target, follow_calls=False).build(
+            fresh_parser.parse(CALL_ASM)
+        )
+        assert graph_of(second) == graph_of(fresh)
+        assert (0x401000, 0x401010) not in second.edges()
+
+    def test_pickling_keeps_blocks_and_edges(self):
+        cfg = build_cfg_from_text(SAMPLE_ASM, name="sample")
+        assert graph_of(pickle.loads(pickle.dumps(cfg))) == graph_of(cfg)

@@ -68,7 +68,7 @@ class TestTableOne:
         from repro.cfg.graph import ControlFlowGraph
 
         with pytest.raises(FeatureExtractionError):
-            extract_attribute_matrix(ControlFlowGraph())
+            extract_attribute_matrix(ControlFlowGraph.from_blocks([]))
 
 
 class TestExtensibility:

@@ -1,20 +1,21 @@
 """The columnar front end against the reference objects, listing by listing.
 
 Serving and extraction turn listing text into an ACFG through
-``AsmParser.parse``, ``CfgBuilder.build`` and ``ACFG.from_cfg``, which
-for text run one regex scan (:meth:`AsmParser.scan`), Algorithms 1-2 as
-array operations (:func:`connect_columns`) and one Table I pass over the
-columns, with no per-instruction object.  The reference below walks the
-same text the way the parser did before the scan: ``str.splitlines`` and
-the per-line grammar for every line, one :class:`Instruction` per row,
-then :class:`CfgBuilder` and :meth:`ACFG.from_cfg` over the objects.
-Both must give the same ACFG bits, or the same failure kind and detail,
-and the same :class:`Program`, labels, skipped lines and strict-mode
-line numbers.
+``AsmParser.parse``, ``CfgBuilder.build`` and ``ACFG.from_cfg``: one
+regex scan, Algorithms 1-2 as array operations (:func:`connect_columns`)
+and one Table I pass over the graph's arrays, with no per-instruction
+object.  The reference (:mod:`tests.reference_front_end`) walks the same
+text the way the paper writes it: ``str.splitlines`` and the per-line
+grammar for every line, one :class:`Instruction` per row, the tagging
+pass and Algorithm 2 over the objects.  Both must give the same ACFG
+bits, or the same failure kind and detail, the same :class:`Program`,
+labels, skipped lines and strict-mode line numbers, and the same CFG
+JSON with calls followed and not.
 """
 
-import pickle
+import os
 import re
+import tempfile
 import time
 import tracemalloc
 
@@ -23,15 +24,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.asm.instruction import Instruction
-from repro.asm.parser import AsmParser, _split_operands
+from repro.asm.parser import AsmParser
 from repro.asm.program import Program
 from repro.cfg.basic_block import BasicBlock
-from repro.cfg.builder import CfgBuilder, build_cfg_from_text, connect_columns
+from repro.cfg.builder import CfgBuilder, build_cfg_from_text
 from repro.cfg.graph import ControlFlowGraph
+from repro.cfg.serialization import cfg_to_dict, load_cfg, save_cfg
 from repro.datasets.mskcfg import MSKCFG_FAMILIES, generate_mskcfg_sample
 from repro.datasets.synthetic_asm import ObfuscationKnobs
-from repro.exceptions import AsmParseError
-from repro.features import acfg as acfg_module
+from repro.exceptions import AsmParseError, CfgConstructionError
+from repro.features import attributes as attributes_module
 from repro.features.acfg import ACFG
 from repro.features.extra_attributes import (
     disable_extended_attributes,
@@ -47,44 +49,28 @@ from repro.features.pipeline import (
 
 from tests.asm.test_realistic_listing import REALISTIC
 from tests.conftest import SAMPLE_ASM
+from tests.reference_front_end import reference_build, reference_parse
 
 # -- the reference: one line at a time, one object per instruction ---------
-
-
-def reference_parse(text, strict=False):
-    """``(parser, Program)`` from the per-line grammar over ``splitlines``."""
-    parser = AsmParser(strict=strict)
-    rows, pending = [], []
-    for number, line in enumerate(text.splitlines(), start=1):
-        row = parser._parse_line(line, number, pending)
-        if row is None:
-            continue
-        for label in pending:
-            parser.labels[label] = row[0]
-        pending.clear()
-        rows.append(row)
-    first = {}
-    for row in rows:
-        first.setdefault(row[0], row)
-    addresses = sorted(first)
-    program = Program()
-    for position, address in enumerate(addresses):
-        _, mnemonic, operands, size = first[address]
-        if position + 1 < len(addresses):
-            size = addresses[position + 1] - address
-        program.add(Instruction(address, mnemonic, _split_operands(operands), max(size, 1)))
-    if addresses:
-        for label in pending:
-            parser.labels.setdefault(label, addresses[-1] + 1)
-    return parser, program
 
 
 def reference_worker(item, ctx):
     name, text, label = item
     parser, program = reference_parse(text)
-    cfg = CfgBuilder(resolve_target=parser.resolve_target).build(program, name=name)
+    cfg = reference_build(program, parser.resolve_target, name=name)
     _guard_size(name, cfg.num_vertices, ctx)
     return ACFG.from_cfg(cfg, label=label)
+
+
+def saved_graph_worker(item, ctx):
+    """The text path's graph through ``save_cfg`` and ``load_cfg``."""
+    name, text, label = item
+    cfg = build_cfg_from_text(text, name=name)
+    _guard_size(name, cfg.num_vertices, ctx)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.json")
+        save_cfg(cfg, path)
+        return ACFG.from_cfg(load_cfg(path), label=label)
 
 
 def rows_of(program):
@@ -289,16 +275,58 @@ class TestTextPathMatchesTheReference:
             disable_extended_attributes()
 
 
+def graph_json(build):
+    """``cfg_to_dict`` of the graph ``build()`` gives, or its failure."""
+    try:
+        return cfg_to_dict(build())
+    except CfgConstructionError as exc:
+        return ("error", str(exc))
+
+
+class TestGraphJson:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(listings())
+    @example(SAMPLE_ASM)
+    @example(REALISTIC)
+    @example(generate_mskcfg_sample("Kelihos_ver1", 1, seed=2)[1])
+    def test_matches_reference_and_saved_graph(self, text):
+        parser = AsmParser()
+        program = parser.parse(text)
+        reference, expected = reference_parse(text)
+        for follow_calls in (True, False):
+            builder = CfgBuilder(parser.resolve_target, follow_calls=follow_calls)
+            got = graph_json(lambda: builder.build(program, name="x"))
+            assert got == graph_json(lambda: reference_build(
+                expected, reference.resolve_target, follow_calls, name="x"
+            ))
+            if isinstance(got, dict):
+                # The arrays the graph holds are the reference's blocks.
+                cfg = builder.build(program)
+                blocks = got["blocks"]
+                index = {block["start"]: i for i, block in enumerate(blocks)}
+                assert list(zip(*cfg.edge_index.tolist())) == [
+                    (index[src], index[dst]) for src, dst in got["edges"]
+                ]
+                assert np.bincount(cfg.owner).tolist() == [
+                    len(block["instructions"]) for block in blocks
+                ]
+        assert outcome(saved_graph_worker, text) == outcome(_worker_text, text)
+
+
 def test_block_columns_match_the_builder():
+    # The graph's owner and edge_index arrays against the reference's
+    # blocks and edges, built over objects.
     for text in (SAMPLE_ASM, REALISTIC, generate_mskcfg_sample("Kelihos_ver1", 1, seed=2)[1]):
         parser = AsmParser()
-        blocks = connect_columns(parser.scan(text), parser.resolve_target)
-        cfg = CfgBuilder(parser.resolve_target).build(reference_parse(text)[1])
-        index = cfg.vertex_index()
-        assert list(zip(*blocks.edges.tolist())) == sorted(
-            (index[src], index[dst]) for src, dst in cfg.edges()
+        cfg = CfgBuilder(parser.resolve_target).build(parser.parse(text))
+        reference, program = reference_parse(text)
+        expected = reference_build(program, reference.resolve_target)
+        index = expected.vertex_index()
+        assert list(zip(*cfg.edge_index.tolist())) == sorted(
+            (index[src], index[dst]) for src, dst in expected.edges()
         )
-        assert np.bincount(blocks.owner).tolist() == [len(b) for b in cfg.blocks()]
+        assert np.bincount(cfg.owner).tolist() == [len(b) for b in expected.blocks()]
 
 
 #: Lines that make a backtracking pattern retry a long run of blanks.
@@ -317,7 +345,7 @@ def test_scan_time_is_linear_in_a_long_line():
     # run of blanks spends about twenty seconds on the first one.
     started = time.perf_counter()
     for line in _LONG_LINES:
-        AsmParser().scan(line + "\n")
+        AsmParser().parse(line + "\n")
     assert time.perf_counter() - started < 5.0
 
 
@@ -357,8 +385,8 @@ class TestTextPathAtScale:
         def no_attributes(*args, **kwargs):
             raise AssertionError("attributes built for an oversize graph")
 
-        monkeypatch.setattr(acfg_module, "table_one", no_attributes)
-        monkeypatch.setattr(acfg_module, "category_codes", no_attributes)
+        monkeypatch.setattr(attributes_module, "table_one", no_attributes)
+        monkeypatch.setattr(attributes_module, "category_codes", no_attributes)
         ctx = WorkerContext(max_vertices=9_999)
         result = execute_unit(_worker_text, ("big", big_listing(10_000), None), 0, ctx)
         assert result[:2] == ("fail", FailureKind.OVERSIZE.value)
@@ -368,15 +396,34 @@ class TestTextPathAtScale:
         def forbidden(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} built on the text path")
 
-        # A parsed program and its graph run these constructors only when
-        # their objects are made.
-        for cls in (Instruction, Program, BasicBlock, ControlFlowGraph):
+        made = []
+
+        def counted(cls, constructor):
+            def construct(*args, **kwargs):
+                made.append(cls.__name__)
+                return constructor(*args, **kwargs)
+            return construct
+
+        for cls in (Instruction, BasicBlock):
             monkeypatch.setattr(cls, "__init__", forbidden)
+        # One array holder each per listing: the parsed program (made by
+        # the parser's ``from_rows``) and its graph.
+        monkeypatch.setattr(Program, "__init__", counted(Program, Program.__init__))
+        monkeypatch.setattr(
+            Program, "from_rows", classmethod(counted(Program, Program.from_rows.__func__))
+        )
+        monkeypatch.setattr(
+            ControlFlowGraph, "__init__",
+            counted(ControlFlowGraph, ControlFlowGraph.__init__),
+        )
         for text in (SAMPLE_ASM, REALISTIC, generate_mskcfg_sample("Simda", 2, seed=3)[1]):
+            made.clear()
             acfg = _worker_text(("sample", text, None), WorkerContext())
             assert acfg.num_vertices > 1
+            assert sorted(made) == ["ControlFlowGraph", "Program"]
         cfg = build_cfg_from_text(SAMPLE_ASM, name="sample")
         assert (cfg.num_vertices, cfg.num_edges, cfg.name) == (5, 5, "sample")
+        # Blocks are views made when asked for.
         with pytest.raises(AssertionError, match="built on the text path"):
             cfg.blocks()
 
@@ -392,51 +439,28 @@ def graph_shape(cfg):
 
 
 class TestObjectsOnFirstUse:
+    """Blocks and successors, made from the graph's arrays when asked for."""
+
     @pytest.mark.parametrize("text", _EXAMPLES[:4])
     def test_a_parsed_graph_is_the_reference_graph(self, text):
         parser = AsmParser()
         program = parser.parse(text)
         cfg = CfgBuilder(parser.resolve_target).build(program, name="x")
-        assert program.columns is not None and cfg.columns is not None
         counts = (cfg.num_vertices, cfg.num_edges)
         reference, expected = reference_parse(text)
-        expected_cfg = CfgBuilder(reference.resolve_target).build(expected, name="x")
+        expected_cfg = reference_build(expected, reference.resolve_target, name="x")
         assert graph_shape(cfg) == graph_shape(expected_cfg)
+        # Making the objects leaves the arrays as they were.
         assert counts == (cfg.num_vertices, cfg.num_edges)
-        assert program.columns is None and cfg.columns is None
-        # The reference tags the program's own instructions.
-        assert [(i.start, i.branch_to) for i in program] == [
-            (i.start, i.branch_to) for i in expected
-        ]
-
-    def test_a_pickled_graph_carries_its_objects(self):
-        cfg = build_cfg_from_text(REALISTIC, name="r")
-        copy = pickle.loads(pickle.dumps(cfg))
-        assert copy.columns is None
-        assert graph_shape(copy) == graph_shape(build_cfg_from_text(REALISTIC, name="r"))
-        assert ACFG.from_cfg(copy).attributes.tobytes() == (
-            ACFG.from_cfg(build_cfg_from_text(REALISTIC)).attributes.tobytes()
-        )
-
-    def test_changing_a_parsed_program_uses_its_objects(self):
-        parser = AsmParser()
-        program = parser.parse(SAMPLE_ASM)
-        program.add(Instruction(0x500000, "retn", [], 1))
-        assert program.columns is None
-        cfg = CfgBuilder(parser.resolve_target).build(program)
-        assert cfg.columns is None
-        reference, expected = reference_parse(SAMPLE_ASM)
-        expected.add(Instruction(0x500000, "retn", [], 1))
-        assert graph_shape(cfg) == graph_shape(
-            CfgBuilder(reference.resolve_target).build(expected)
-        )
+        assert rows_of(program) == rows_of(expected)
 
     def test_calls_not_followed_use_the_objects(self):
-        parser = AsmParser()
-        program = parser.parse(SAMPLE_ASM)
-        cfg = CfgBuilder(parser.resolve_target, follow_calls=False).build(program)
-        assert cfg.columns is None
-        reference, expected = reference_parse(SAMPLE_ASM)
-        assert graph_shape(cfg) == graph_shape(
-            CfgBuilder(reference.resolve_target, follow_calls=False).build(expected)
-        )
+        for text in (SAMPLE_ASM, REALISTIC):
+            parser = AsmParser()
+            program = parser.parse(text)
+            cfg = CfgBuilder(parser.resolve_target, follow_calls=False).build(program)
+            reference, expected = reference_parse(text)
+            expected_cfg = reference_build(expected, reference.resolve_target, follow_calls=False)
+            assert graph_shape(cfg) == graph_shape(expected_cfg)
+        # The realistic listing calls into itself: following calls adds edges.
+        assert cfg.num_edges < CfgBuilder(parser.resolve_target).build(program).num_edges

@@ -8,9 +8,9 @@ dataset caches and extraction journals store.  They were recorded with
 the original per-block Table I extractor and the dense adjacency
 matrix, so a faster extraction path or another graph representation
 must reproduce them bit for bit.  Both paths are pinned: the reference
-objects (``Program``, ``CfgBuilder``, ``ACFG.from_cfg``) and the
-columnar path serving and extraction run (``AsmParser.scan``, the text
-worker).
+objects (:mod:`tests.reference_front_end`: the per-line parse, the
+tagging pass and Algorithm 2) and the columnar path serving and
+extraction run (``AsmParser.parse``, the text worker).
 
 The eleven per-block extractors that produced them are kept below as the
 reference oracle; a property test checks the one-pass attribute matrix
@@ -18,14 +18,15 @@ against it over generated listings, with and without a custom attribute.
 """
 
 import hashlib
+import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.asm.isa import InstructionCategory
-from repro.asm.parser import AsmParser, _split_operands
-from repro.cfg.builder import CfgBuilder
-from repro.cfg.serialization import acfg_to_text
+from repro.asm.parser import AsmParser
+from repro.cfg.builder import CfgBuilder, build_cfg_from_text
+from repro.cfg.serialization import acfg_to_text, save_cfg
 from repro.datasets.mskcfg import MSKCFG_FAMILIES, generate_mskcfg_sample
 from repro.datasets.synthetic_asm import ObfuscationKnobs
 from repro.features.acfg import ACFG
@@ -45,6 +46,7 @@ from repro.similarity import MinHasher, fingerprint_acfg
 
 from tests.asm.test_realistic_listing import REALISTIC
 from tests.conftest import SAMPLE_ASM, dense_adjacency
+from tests.reference_front_end import reference_build, reference_parse
 
 # -- reference oracle: the original per-block Table I extractors ----------
 
@@ -138,31 +140,26 @@ def _digests(rows, parser, acfg):
     }
 
 
-def front_end_digests(text):
-    """``{program, acfg, signature, record}`` sha256 digests of a listing."""
-    parser = AsmParser()
-    program = parser.parse(text)
-    rows = [
+def rows_of(program):
+    return [
         (inst.address, inst.mnemonic, tuple(inst.operands), inst.size)
         for inst in program
     ]
-    cfg = CfgBuilder(resolve_target=parser.resolve_target).build(program)
-    return _digests(rows, parser, ACFG.from_cfg(cfg))
+
+
+def front_end_digests(text):
+    """``{program, acfg, signature, record}`` sha256 digests of a listing."""
+    parser, program = reference_parse(text)
+    cfg = reference_build(program, parser.resolve_target)
+    return _digests(rows_of(program), parser, ACFG.from_cfg(cfg))
 
 
 def production_digests(text):
-    """The same digests from the scanned columns and the text worker."""
+    """The same digests from the parsed columns and the text worker."""
     parser = AsmParser()
-    listing = parser.scan(text)
-    rows = [
-        (address, mnemonic, tuple(_split_operands(operands)), size)
-        for address, size, mnemonic, operands in zip(
-            listing.addresses.tolist(), listing.sizes.tolist(),
-            listing.mnemonics, listing.operands,
-        )
-    ]
+    program = parser.parse(text)
     acfg = _worker_text(("", text, None), WorkerContext())
-    return _digests(rows, parser, acfg)
+    return _digests(rows_of(program), parser, acfg)
 
 
 JUNK_PROBABILITIES = (0.0, 0.35, 0.9)
@@ -272,6 +269,10 @@ GOLDEN = {
 }
 
 
+#: sha256 over the ``save_cfg`` bytes of every golden listing, by case name.
+SAVED_CFGS = "16321df18a5ca983e5897d19ed3f85539377e596b0b3b9b05224729bbdf56088"
+
+
 class TestGoldenDigests:
     def test_every_case_matches_its_recorded_digests(self):
         texts = golden_texts()
@@ -282,6 +283,15 @@ class TestGoldenDigests:
     def test_the_production_path_matches_the_same_digests(self):
         for name, text in golden_texts().items():
             assert production_digests(text) == GOLDEN[name], name
+
+    def test_saved_graphs_match_their_recorded_digest(self, tmp_path):
+        digest = hashlib.sha256()
+        path = os.path.join(tmp_path, "graph.json")
+        for name, text in sorted(golden_texts().items()):
+            save_cfg(build_cfg_from_text(text, name=name), path)
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+        assert digest.hexdigest() == SAVED_CFGS
 
     def test_truncated_listing_fails_as_parse(self):
         text = generate_mskcfg_sample("Gatak", 0, seed=1)[1]
