@@ -7,7 +7,7 @@ architecture/pooling-ratio cell — and prints the ranking by the paper's
 criterion (minimum fold-averaged validation loss).
 
 Every (setting, fold) pair is an independent work unit, so the sweep
-parallelizes over a process pool (``--n-jobs``) and checkpoints each
+parallelizes over supervised worker processes (``--n-jobs``) and checkpoints each
 completed fold to a JSON-lines journal (``--journal``); an interrupted
 run re-invoked with ``--resume`` skips the journaled folds and still
 produces exactly the uninterrupted ranking.

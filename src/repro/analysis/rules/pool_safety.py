@@ -1,9 +1,11 @@
 """Rule ``pool-safety`` — nothing unpicklable crosses a process boundary.
 
-``repro.train.sweep`` fans fold work over a ``ProcessPoolExecutor`` and
 ``repro.workers.request`` spawns the supervised worker processes that
-the extraction pool and the serving fleet run on; both pickle what they
-are handed.  Lambdas and locally-defined (nested) functions
+the offline runner (extraction and the sweep) and the serving fleet run
+on, and the lint engine fans files over a ``ProcessPoolExecutor``; both
+pickle what they are handed under the ``spawn`` start method.  The
+workers avoid the problem by shipping entrypoint *names*, never
+callables.  Lambdas and locally-defined (nested) functions
 are unpicklable, and the failure is deferred — the pool raises deep
 inside ``concurrent.futures`` at submit time, or worse, only under the
 ``spawn`` start method on another platform.  This rule rejects them at

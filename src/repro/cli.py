@@ -25,7 +25,7 @@ then classify unknown binaries' listings — as four subcommands:
   optionally the problem-space re-obfuscation attack) against a
   persisted model, reported per family.
 * ``sweep``    — Table II-style hyper-parameter sweep with ``--n-jobs``
-  process-pool parallelism and ``--journal``/``--resume`` checkpointing.
+  worker-process parallelism and ``--journal``/``--resume`` checkpointing.
 * ``lint``     — project-invariant static analysis (``repro.analysis``):
   determinism, pool-safety, exception taxonomy, atomic writes,
   float-equality, lock discipline; pragma and baseline aware.
@@ -70,11 +70,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     """Batch-convert listings to cached CFG JSON, fault-tolerantly.
 
-    Runs on the extraction service: ``--n-jobs``/``--timeout`` use the
-    supervised process pool (hung listings are killed, crashed workers
-    cost one sample), ``--journal``/``--resume`` give SIGKILL-and-resume
-    for long corpora, ``--max-vertices`` guards against pathological
-    graphs, and ``--quarantine`` preserves failing inputs for triage.
+    Runs on the extraction service: ``--n-jobs`` above 1 or a
+    ``--timeout`` use supervised worker processes (hung listings are
+    killed, crashed workers cost one sample), ``--journal``/``--resume``
+    give SIGKILL-and-resume for long corpora, ``--max-vertices`` guards
+    against pathological graphs, and ``--quarantine`` preserves failing
+    inputs for triage.
     """
     from repro.features.pipeline import AcfgPipeline
 
@@ -87,7 +88,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     pipeline = AcfgPipeline(
         max_workers=args.n_jobs,
-        use_processes=args.n_jobs > 1 or args.timeout is not None,
         timeout=args.timeout,
         max_vertices=args.max_vertices,
         journal_path=args.journal,
@@ -470,9 +470,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Grid-search a reduced Table II sweep, optionally in parallel.
 
     Each (setting, fold) pair is an independent work unit; ``--n-jobs``
-    fans them over a process pool and ``--journal`` checkpoints every
-    completed fold so ``--resume`` skips finished work after an
-    interruption.  Results are identical to a serial run.
+    fans them over supervised worker processes and ``--journal``
+    checkpoints every completed fold so ``--resume`` skips finished work
+    after an interruption.  Results are identical at every ``--n-jobs``;
+    a fold that keeps failing is reported and the exit status is 1.
     """
     import json
 
@@ -798,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--hidden-size", type=int, default=32)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--n-jobs", type=int, default=1,
-                         help="worker processes for the (setting x fold) pool")
+                         help="worker processes for the (setting x fold) units")
     p_sweep.add_argument("--journal",
                          help="JSON-lines checkpoint of completed folds")
     p_sweep.add_argument("--resume", action="store_true",

@@ -15,7 +15,6 @@ from repro.features.extra_attributes import (
     disable_extended_attributes,
     enable_extended_attributes,
 )
-from repro.features.journal import ExtractionJournal
 from repro.features.pipeline import (
     AcfgPipeline,
     ExtractionFailure,
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_ATTRIBUTES",
     "EXTENDED_ATTRIBUTES",
     "ExtractionFailure",
-    "ExtractionJournal",
     "ExtractionReport",
     "FailureKind",
     "disable_extended_attributes",

@@ -8,12 +8,15 @@ production corpus actually produces:
 
 * per-sample failures are classified into a structured taxonomy
   (:class:`FailureKind`) instead of aborting the batch;
-* a process-pool mode gives per-sample wall-clock timeouts and a
-  graph-size guard — a hung or pathological sample is killed and the
-  batch continues (threads cannot be cancelled, so the killable path
-  runs on :class:`~repro.workers.pool.ProcessWorkerPool`);
-* a JSONL journal (one line per finished sample, torn-line tolerant)
-  makes multi-hour runs SIGKILL-and-resumable;
+* units run on :class:`~repro.workers.pool.ProcessWorkerPool`: inline
+  for one worker without a deadline, otherwise on supervised worker
+  processes, which give per-sample wall-clock timeouts — a hung or
+  crashing sample is killed or lost and the batch continues;
+* a graph-size guard fails pathological samples before their
+  attributes are built;
+* a JSONL journal (:class:`repro.fileio.Journal`: one line per
+  finished sample, torn-line tolerant) makes multi-hour runs
+  SIGKILL-and-resumable;
 * failed inputs can be preserved in a quarantine directory for triage;
 * a deterministic fault plan (:mod:`repro.testing.faults`) can poison
   chosen sample indices so every recovery path is testable.
@@ -21,7 +24,7 @@ production corpus actually produces:
 
 from __future__ import annotations
 
-import concurrent.futures
+import hashlib
 import json
 import os
 import re
@@ -48,7 +51,7 @@ from repro.exceptions import (
     OversizeGraphError,
 )
 from repro.features.acfg import ACFG
-from repro.features.journal import open_journal, samples_fingerprint
+from repro.fileio import open_journal
 from repro.workers.pool import ProcessWorkerPool
 from repro.testing.faults import FaultPlan
 
@@ -120,7 +123,7 @@ class ExtractionReport:
 # ----------------------------------------------------------------------
 # worker registry
 #
-# Workers are referenced by *name* so the process pool never pickles a
+# Workers are referenced by *name* so no worker process is ever sent a
 # callable (closures would break, and spawn-based platforms could not
 # import them).  Each worker owns its journal payload codec and its
 # quarantine writer, keeping the service generic over what a "sample" is.
@@ -264,8 +267,8 @@ def execute_unit(
 
     Never raises: returns ``("ok", result)`` or
     ``("fail", kind_value, detail)``.  This is the single fault-isolation
-    boundary shared by the serial, thread, and process execution modes,
-    so every mode classifies identically.
+    boundary shared by the inline and process execution modes, so every
+    mode classifies identically.
     """
     try:
         if ctx.fault_plan is not None:
@@ -306,6 +309,25 @@ def extraction_service(
     return handle
 
 
+#: The extraction unit handler's factory, resolved by name in each worker.
+EXTRACTION_ENTRYPOINT = "repro.features.pipeline:extraction_service"
+
+
+def samples_fingerprint(names: Sequence[str]) -> str:
+    """Order-aware content hash of the input sample names.
+
+    Sample *names* (not payloads) keep header writes cheap on large
+    corpora while still catching the dangerous resume mistakes: a
+    different corpus, a reordered corpus, or a truncated one.
+    """
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode("utf-8", errors="replace"))
+        digest.update(b"\x00")
+    digest.update(str(len(names)).encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
 # ----------------------------------------------------------------------
 # the pipeline
 
@@ -326,14 +348,13 @@ class AcfgPipeline:
     Parameters
     ----------
     max_workers:
-        Worker count; ``1`` without ``use_processes`` runs inline, which
-        is the right choice for small corpora and deterministic tests.
-    use_processes:
-        Run workers in supervised child processes instead of threads.
-        Required for ``timeout`` (a hung thread cannot be cancelled; a
-        hung process is killed) and for surviving hard worker crashes.
+        Worker count.  ``1`` without a ``timeout`` runs inline, which is
+        the right choice for small corpora and deterministic tests;
+        anything else runs on supervised worker processes, which also
+        survive hard worker crashes.
     timeout:
-        Per-sample wall-clock limit in seconds (process mode only).
+        Per-sample wall-clock limit in seconds; a sample still running
+        at its deadline has its worker process killed.
     max_vertices:
         Graph-size guard: samples whose CFG exceeds this vertex count
         fail with :attr:`FailureKind.OVERSIZE` instead of stalling
@@ -355,7 +376,6 @@ class AcfgPipeline:
         self,
         max_workers: int = 1,
         *,
-        use_processes: bool = False,
         timeout: Optional[float] = None,
         max_vertices: Optional[int] = None,
         journal_path: Optional[str] = None,
@@ -365,17 +385,10 @@ class AcfgPipeline:
     ) -> None:
         if max_workers < 1:
             raise MagicError(f"max_workers must be >= 1, got {max_workers}")
-        if timeout is not None:
-            if timeout <= 0:
-                raise ConfigurationError(
-                    f"timeout must be positive, got {timeout}"
-                )
-            if not use_processes:
-                raise ConfigurationError(
-                    "timeout requires use_processes=True: a hung thread "
-                    "cannot be cancelled, only a worker process can be "
-                    "killed"
-                )
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError(
+                f"timeout must be positive, got {timeout}"
+            )
         if max_vertices is not None and max_vertices < 1:
             raise ConfigurationError(
                 f"max_vertices must be >= 1, got {max_vertices}"
@@ -383,7 +396,6 @@ class AcfgPipeline:
         if resume and journal_path is None:
             raise ConfigurationError("resume=True requires journal_path")
         self.max_workers = max_workers
-        self.use_processes = use_processes
         self.timeout = timeout
         self.max_vertices = max_vertices
         self.journal_path = journal_path
@@ -434,9 +446,18 @@ class AcfgPipeline:
             "timeout": self.timeout,
             "max_vertices": self.max_vertices,
         }
-        journal, completed = open_journal(
+        journal, records = open_journal(
             self.journal_path, fingerprint, self.resume
         )
+        # Both outcomes are replayed on resume: extraction failures are
+        # deterministic properties of the input, so redoing them would
+        # only re-pay the timeout.  Keyed by input index: names may
+        # collide, and the fingerprint pins the input sequence itself.
+        completed = {
+            record["index"]: record for record in records
+            if record.get("kind") in ("sample", "failure")
+            and isinstance(record.get("index"), int)
+        }
 
         results: Dict[int, Any] = {}
         failures: Dict[int, ExtractionFailure] = {}
@@ -467,8 +488,9 @@ class AcfgPipeline:
             )
             failures[index] = failure
             if journal is not None:
-                journal.record_failure(
-                    index, failure.name, failure.kind.value, detail
+                journal.append(
+                    {"kind": "failure", "index": index, "name": failure.name,
+                     "failure_kind": failure.kind.value, "detail": detail}
                 )
             self._quarantine(spec, items[index], failure)
 
@@ -482,8 +504,9 @@ class AcfgPipeline:
                 return
             results[index] = result
             if journal is not None:
-                journal.record_sample(
-                    index, items[index][0], spec.encode(result)
+                journal.append(
+                    {"kind": "sample", "index": index,
+                     "name": items[index][0], "payload": spec.encode(result)}
                 )
 
         pending = [
@@ -492,18 +515,12 @@ class AcfgPipeline:
             if index not in results and index not in failures
         ]
         try:
-            if self.use_processes:
-                ProcessWorkerPool(
-                    worker, ctx, self.max_workers, timeout=self.timeout
-                ).run(pending, on_ok, on_fail)
-            elif self.max_workers == 1:
-                for index, item in pending:
-                    self._apply(
-                        execute_unit(spec.fn, item, index, ctx),
-                        index, on_ok, on_fail,
-                    )
-            else:
-                self._run_threaded(spec, ctx, pending, on_ok, on_fail)
+            ProcessWorkerPool(
+                EXTRACTION_ENTRYPOINT,
+                {"worker_name": worker, "worker_ctx": ctx},
+                self.max_workers,
+                timeout=self.timeout,
+            ).run(pending, on_ok, on_fail)
         finally:
             if journal is not None:
                 journal.close()
@@ -523,29 +540,6 @@ class AcfgPipeline:
         )
 
     # -- internals ----------------------------------------------------
-
-    @staticmethod
-    def _apply(outcome: Tuple, index: int, on_ok, on_fail) -> None:
-        status, *payload = outcome
-        if status == "ok":
-            on_ok(index, payload[0])
-        else:
-            on_fail(index, payload[0], payload[1])
-
-    def _run_threaded(self, spec, ctx, pending, on_ok, on_fail) -> None:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
-            # Futures are keyed by input *index*, not sample name: names
-            # are caller-provided and may collide, and a name key would
-            # silently drop one result when two samples share a name.
-            futures = {
-                pool.submit(execute_unit, spec.fn, item, index, ctx): index
-                for index, item in pending
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                self._apply(future.result(), index, on_ok, on_fail)
 
     def _quarantine(
         self, spec: WorkerSpec, item: Tuple, failure: ExtractionFailure

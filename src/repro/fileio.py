@@ -1,13 +1,17 @@
-"""Crash-safe file primitives: journal appends and staged publishes.
+"""Crash-safe file primitives: checkpoint journals and staged publishes.
 
-The extraction journal (:mod:`repro.features.journal`) and the sweep
-journal (:mod:`repro.train.sweep`) both need the same thing: a
-long-lived append handle whose every record survives a SIGKILL
-immediately after the write.  Both used to manage a raw ``open()``
-handle by hand; :class:`JsonlAppendWriter` is the single sanctioned
-owner of that pattern — it creates the parent directory, truncates or
-appends as asked, and flushes after every record so the only losable
-data is the torn final line the journal loaders already tolerate.
+The paper's two long batch jobs — ACFG extraction (~17 hours) and the
+Table II sweep (208 settings x 5 folds) — must survive a SIGKILL.
+:class:`Journal` is their one checkpoint format: a header line that
+fingerprints the run (a resume against a different run is refused),
+then one JSON record per finished work unit, flushed as it is written,
+so the only losable data is a torn final line, which loading skips.
+Extraction (:mod:`repro.features.pipeline`) and the sweep
+(:mod:`repro.train.sweep`) each encode and decode only their own
+records.  :class:`JsonlAppendWriter` is the single sanctioned owner of
+the long-lived append handle underneath: it creates the parent
+directory, truncates or appends as asked, and flushes after every
+record.
 
 :func:`staged_directory` is the one staged publish the dataset cache
 and the model registry share, so a SIGKILL never publishes a torn
@@ -23,7 +27,12 @@ import json
 import os
 import shutil
 import tempfile
-from typing import Any, Dict, Iterator, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+
+from repro.exceptions import ConfigurationError
+
+#: Journal schema version; bumped on incompatible format changes.
+JOURNAL_VERSION = 1
 
 
 class JsonlAppendWriter:
@@ -57,14 +66,98 @@ class JsonlAppendWriter:
         self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()  # survive a SIGKILL between records
 
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+class Journal:
+    """Append-only JSON-lines checkpoint of finished work units.
+
+    Line 1 is a header: ``{"kind": "header", **fingerprint, "version"}``.
+    Loading a journal whose header differs from this run's fingerprint
+    raises :class:`ConfigurationError` rather than silently splicing two
+    different runs together.  Every later line is one caller-defined
+    record; blank lines, torn lines and lines that are not JSON objects
+    are skipped.
+    """
+
+    def __init__(self, path: str, fingerprint: Dict[str, Any]) -> None:
+        self.path = path
+        self.fingerprint = dict(fingerprint, version=JOURNAL_VERSION)
+        self._writer: Optional[JsonlAppendWriter] = None
+
+    def load(self) -> List[Dict[str, Any]]:
+        """Records of a previous run, in file order; empty when absent."""
+        if not os.path.exists(self.path):
+            return []
+        with open(self.path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        if not lines:
+            return []
+        try:
+            header = json.loads(lines[0])
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"journal {self.path!r} has an unreadable header: {exc}"
+            )
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise ConfigurationError(
+                f"journal {self.path!r} does not start with a header line"
+            )
+        recorded = {k: v for k, v in header.items() if k != "kind"}
+        if recorded != self.fingerprint:
+            raise ConfigurationError(
+                "journal fingerprint mismatch — the journal at "
+                f"{self.path!r} was written by a run configured as "
+                f"{recorded}, but this run is {self.fingerprint}; refusing "
+                "to resume across different inputs or settings"
+            )
+        records: List[Dict[str, Any]] = []
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn final line from a killed run
+            if isinstance(record, dict):
+                records.append(record)
+        return records
+
+    def open_for_append(self, fresh: bool) -> None:
+        """Start (``fresh``) or continue the file, heading a new one."""
+        self._writer = JsonlAppendWriter.open(self.path, fresh=fresh)
+        if self._writer.created:
+            self.append(dict({"kind": "header"}, **self.fingerprint))
+
+    def append(self, record: Dict[str, Any]) -> None:
+        """Write one record; it survives a SIGKILL once this returns."""
+        if self._writer is not None:
+            self._writer.write_record(record)
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+
+def open_journal(
+    path: Optional[str], fingerprint: Dict[str, Any], resume: bool
+) -> Tuple[Optional[Journal], List[Dict[str, Any]]]:
+    """Open ``path`` for this run: the journal and the records to resume.
+
+    ``resume`` loads (and checks) what a previous run wrote, then
+    appends; otherwise the file starts afresh.  ``None`` journals
+    nothing.
+    """
+    if path is None:
+        return None, []
+    journal = Journal(path, fingerprint)
+    records = journal.load() if resume else []
+    journal.open_for_append(fresh=not resume)
+    return journal, records
 
 
 @contextlib.contextmanager

@@ -35,7 +35,6 @@ from repro.train.hyperparameter import (
 from repro.train.sweep import (
     SweepExecutor,
     SweepFailure,
-    SweepJournal,
     SweepReport,
     setting_key,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "HyperparameterSetting",
     "SweepExecutor",
     "SweepFailure",
-    "SweepJournal",
     "SweepReport",
     "Trainer",
     "TrainingConfig",

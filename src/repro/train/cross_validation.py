@@ -18,9 +18,9 @@ and — for config-driven sweeps — the model configuration) in a
 pickle-able value, :func:`run_fold` executes it, and
 :func:`assemble_cv_result` folds the results back into a
 :class:`CrossValidationResult`.  The serial :func:`cross_validate` loop
-and the process-pool :class:`~repro.train.sweep.SweepExecutor` are both
-thin drivers over these three pieces, which is what makes the parallel
-sweep bit-for-bit equivalent to the serial one.
+and :class:`~repro.train.sweep.SweepExecutor` (inline or on worker
+processes) are both thin drivers over these three pieces, which is what
+makes the parallel sweep bit-for-bit equivalent to the serial one.
 """
 
 from __future__ import annotations

@@ -30,10 +30,7 @@ from repro.core.dgcnn import (
 from repro.core.sort_pooling import resolve_sort_pooling_k
 from repro.datasets.loader import MalwareDataset
 from repro.exceptions import ConfigurationError
-from repro.train.cross_validation import (
-    CrossValidationResult,
-    cross_validate_config,
-)
+from repro.train.cross_validation import CrossValidationResult
 from repro.train.trainer import TrainingConfig
 
 
@@ -250,10 +247,9 @@ class GridSearchResult:
     """Ranked sweep outcome.
 
     ``failures`` mirrors ``ExtractionReport.failures`` from the ACFG
-    pipeline: settings whose folds kept raising after a retry are
-    reported here (as :class:`~repro.train.sweep.SweepFailure` records)
-    instead of aborting the sweep; they carry no entry.  The serial
-    path never populates it — a raising fold propagates immediately.
+    pipeline: settings whose folds kept failing through their retries
+    are reported here (as :class:`~repro.train.sweep.SweepFailure`
+    records) instead of aborting the sweep; they carry no entry.
     """
 
     entries: List[GridSearchEntry]
@@ -300,9 +296,8 @@ class GridSearch:
     ) -> Tuple[ModelConfig, TrainingConfig]:
         """Resolve one grid point into its model and training configs.
 
-        Shared by the serial loop below and the parallel
-        :class:`~repro.train.sweep.SweepExecutor`, so both paths train
-        from byte-identical configurations.
+        The one resolution :class:`~repro.train.sweep.SweepExecutor`
+        plans every fold from.
         """
         model_config = setting_to_model_config(
             setting,
@@ -328,37 +323,16 @@ class GridSearch:
         journal: Optional[str] = None,
         resume: bool = False,
     ) -> GridSearchResult:
-        """Evaluate ``settings``; serial by default.
+        """Evaluate ``settings`` through :class:`~repro.train.sweep.SweepExecutor`.
 
-        ``n_jobs > 1`` fans the (setting x fold) product out over a
-        process pool; a ``journal`` path checkpoints completed folds so
-        ``resume=True`` skips them on a re-run.  Either option routes
-        through :class:`~repro.train.sweep.SweepExecutor`, whose results
-        are bit-for-bit identical to this serial loop's.
+        ``n_jobs > 1`` fans the (setting x fold) product out over
+        supervised worker processes; a ``journal`` path checkpoints
+        completed folds so ``resume=True`` skips them on a re-run.  The
+        result, failures included, is the same at every ``n_jobs``.
         """
-        settings = list(settings)
-        if n_jobs != 1 or journal is not None:
-            from repro.train.sweep import SweepExecutor  # avoid import cycle
+        from repro.train.sweep import SweepExecutor  # avoid import cycle
 
-            executor = SweepExecutor(
-                self, n_jobs=n_jobs, journal_path=journal, resume=resume
-            )
-            return executor.run(settings).grid_result
-
-        entries: List[GridSearchEntry] = []
-        num_attributes, graph_sizes = dataset_invariants(self.dataset)
-        for position, setting in enumerate(settings):
-            model_config, training_config = self.configs_for(
-                setting, num_attributes, graph_sizes
-            )
-            result = cross_validate_config(
-                model_config,
-                self.dataset,
-                training_config,
-                n_splits=self.n_splits,
-                seed=self.seed,
-            )
-            entries.append(GridSearchEntry(setting=setting, result=result))
-            if self.progress is not None:
-                self.progress(position + 1, len(settings), setting, result.score)
-        return GridSearchResult(entries=entries)
+        executor = SweepExecutor(
+            self, n_jobs=n_jobs, journal_path=journal, resume=resume
+        )
+        return executor.run(settings).grid_result

@@ -1,24 +1,33 @@
-"""Process-pool hyper-parameter sweep engine (Section V-B at scale).
+"""Hyper-parameter sweep engine (Section V-B at scale).
 
 The paper's model selection exhaustively cross-validates 208 settings
 five-fold — 1040 independent training runs whose serial execution the
 grid-search docstring calls "a multi-day run" on CPU.  Every (setting,
-fold) pair is an embarrassingly parallel work unit, so this module fans
-the product out over a ``ProcessPoolExecutor``:
+fold) pair is an embarrassingly parallel work unit:
 
-* :class:`SweepExecutor` drives a :class:`~repro.train.hyperparameter.GridSearch`
-  configuration over ``n_jobs`` worker processes, executing
-  :func:`~repro.train.cross_validation.run_fold` on pickle-able
-  :class:`~repro.train.cross_validation.FoldSpec` units and reassembling
+* :class:`SweepExecutor` resolves a
+  :class:`~repro.train.hyperparameter.GridSearch` configuration into
+  pickle-able :class:`~repro.train.cross_validation.FoldSpec` units and
+  runs them on the offline runner,
+  :class:`~repro.workers.pool.ProcessWorkerPool` — inline for
+  ``n_jobs=1``, otherwise on ``n_jobs`` supervised worker processes —
+  through :func:`fold_service`.  It reassembles
   ``CrossValidationResult``/``GridSearchResult`` from the completed
-  folds.  Seeds derive per fold exactly as in the serial loop, so the
-  parallel sweep is bit-for-bit equivalent to ``GridSearch.run``.
-* :class:`SweepJournal` checkpoints every completed fold to a JSON-lines
-  file (setting content-hash + fold index + full history/report), so an
+  folds in fold order.  Seeds derive per fold exactly as in
+  :func:`~repro.train.cross_validation.cross_validate_config`, so the
+  result is bit-for-bit the same at every ``n_jobs``.
+* A :class:`~repro.fileio.Journal` checkpoints every completed fold
+  (setting content-hash + fold index + full history/report), so an
   interrupted multi-day sweep resumes without redoing finished work.
-* A fold that raises is retried once and then recorded as a
-  :class:`SweepFailure` — mirroring ``ExtractionReport.failures`` from
-  the ACFG pipeline — without aborting the rest of the sweep.
+  Its header pins the run's settings and an order-aware digest of the
+  corpus, so a journal never resumes onto another dataset.
+* A fold that fails — its worker crashing included — gets
+  ``max_retries`` more attempts, each a new round through the runner,
+  and is then recorded as a :class:`SweepFailure` — mirroring
+  ``ExtractionReport.failures`` from the ACFG pipeline — without
+  aborting the rest of the sweep.  Training divergence is a
+  deterministic property of (setting, fold, seed), so it is never
+  retried.
 """
 
 from __future__ import annotations
@@ -26,15 +35,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.datasets.loader import MalwareDataset
 from repro.exceptions import ConfigurationError, TrainingDivergedError
-from repro.fileio import JsonlAppendWriter
+from repro.fileio import open_journal
 from repro.train.cross_validation import (
+    CrossValidationResult,
     FoldResult,
     FoldSpec,
     assemble_cv_result,
@@ -50,9 +60,13 @@ from repro.train.hyperparameter import (
 )
 from repro.train.metrics import ClassificationReport
 from repro.train.trainer import TrainingHistory
+from repro.workers.pool import ProcessWorkerPool
 
-#: Journal schema version; bumped on incompatible format changes.
-JOURNAL_VERSION = 1
+#: The fold handler's factory, resolved by name in each worker.
+FOLD_ENTRYPOINT = "repro.train.sweep:fold_service"
+
+#: Failure kind of a fold whose training diverged (never retried).
+DIVERGED = "diverged"
 
 
 def setting_key(setting: HyperparameterSetting) -> str:
@@ -66,9 +80,26 @@ def setting_key(setting: HyperparameterSetting) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def dataset_digest(dataset: MalwareDataset) -> str:
+    """Order-aware hash of every ACFG's edges, attributes and label.
+
+    Two corpora can share their size, names and labels and still differ
+    in every graph; the sweep journal's header carries this digest so a
+    resume never splices folds trained on one corpus into another's
+    ranking.
+    """
+    digest = hashlib.sha256()
+    for acfg in dataset.acfgs:
+        for array in (acfg.edges, acfg.attributes):
+            digest.update(f"{array.dtype.str}{array.shape}".encode("ascii"))
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(f"label={acfg.label};".encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
 @dataclasses.dataclass
 class SweepFailure:
-    """A (setting, fold) that kept raising after its retry."""
+    """A (setting, fold) that kept failing through its retries."""
 
     setting_key: str
     setting: HyperparameterSetting
@@ -89,176 +120,56 @@ class SweepReport:
     wall_seconds: float
 
 
-# ----------------------------------------------------------------------
-# checkpoint journal
+def fold_service(
+    dataset: MalwareDataset,
+) -> Callable[[Tuple[int, FoldSpec]], Tuple]:
+    """Entrypoint factory of the fold handler, run in every sweep mode.
 
-
-class SweepJournal:
-    """Append-only JSON-lines checkpoint of completed folds.
-
-    Line 1 is a header fingerprinting the run (fold count, epochs,
-    optimizer settings, dataset shape); resuming against a journal whose
-    fingerprint differs raises :class:`ConfigurationError` rather than
-    silently mixing incompatible results.  Every subsequent line is one
-    completed fold — setting content-hash, fold index, and the full
-    training history and classification report, all of which round-trip
-    through JSON with exact float equality.  A truncated final line
-    (the sweep was killed mid-write) is ignored on load.
+    The handler takes one ``(index, FoldSpec)`` unit and never raises:
+    it returns ``("ok", FoldResult)`` or ``("fail", kind, detail)``, with
+    :data:`DIVERGED` as the kind of a :class:`TrainingDivergedError`.
+    A failing fold so costs one work unit, and the parent applies its
+    retry-then-report policy.
     """
 
-    def __init__(self, path: str, fingerprint: Dict) -> None:
-        self.path = path
-        self.fingerprint = dict(fingerprint, version=JOURNAL_VERSION)
-        self._writer: Optional[JsonlAppendWriter] = None
-
-    # -- reading ------------------------------------------------------
-
-    def load_completed(self) -> Dict[Tuple[str, int], FoldResult]:
-        """Completed folds recorded by a previous run, keyed by
-        ``(setting_key, fold_index)``; empty when the journal is absent."""
-        if not os.path.exists(self.path):
-            return {}
-        completed: Dict[Tuple[str, int], FoldResult] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return {}
+    def handle(unit: Tuple[int, FoldSpec]) -> Tuple:
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"sweep journal {self.path!r} has an unreadable header: {exc}"
-            )
-        if header.get("kind") != "header":
-            raise ConfigurationError(
-                f"sweep journal {self.path!r} does not start with a header line"
-            )
-        recorded = {k: v for k, v in header.items() if k != "kind"}
-        if recorded != self.fingerprint:
-            raise ConfigurationError(
-                "sweep journal fingerprint mismatch — the journal at "
-                f"{self.path!r} was written by a sweep configured as "
-                f"{recorded}, but this run is {self.fingerprint}; refusing "
-                "to resume across incompatible configurations"
-            )
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn final line from a killed run
-            if record.get("kind") != "fold":
-                continue  # failure records are re-attempted, not resumed
-            completed[(record["setting"], record["fold"])] = FoldResult(
-                fold_index=record["fold"],
-                history=TrainingHistory.from_dict(record["history"]),
-                report=ClassificationReport.from_dict(record["report"]),
-            )
-        return completed
+            return ("ok", run_fold(unit[1], dataset))
+        except TrainingDivergedError as exc:
+            return ("fail", DIVERGED, f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # repro: allow[broad-except] — fault isolation boundary
+            return ("fail", "unexpected", f"{type(exc).__name__}: {exc}")
 
-    # -- writing ------------------------------------------------------
-
-    def open_for_append(self, fresh: bool) -> None:
-        self._writer = JsonlAppendWriter.open(self.path, fresh=fresh)
-        if self._writer.created:
-            self._write_line(dict({"kind": "header"}, **self.fingerprint))
-
-    def record_fold(self, key: str, result: FoldResult) -> None:
-        self._write_line(
-            {
-                "kind": "fold",
-                "setting": key,
-                "fold": result.fold_index,
-                "history": result.history.to_dict(),
-                "report": result.report.to_dict(),
-            }
-        )
-
-    def record_failure(self, key: str, fold_index: int, error: str,
-                       attempts: int) -> None:
-        self._write_line(
-            {
-                "kind": "failure",
-                "setting": key,
-                "fold": fold_index,
-                "error": error,
-                "attempts": attempts,
-            }
-        )
-
-    def _write_line(self, record: Dict) -> None:
-        if self._writer is not None:
-            self._writer.write_record(record)
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+    return handle
 
 
-# ----------------------------------------------------------------------
-# worker side
-
-_POOL_DATASET: Optional[MalwareDataset] = None
-
-
-def _pool_init(dataset: MalwareDataset) -> None:
-    """Ship the dataset once per worker (not once per fold)."""
-    global _POOL_DATASET
-    _POOL_DATASET = dataset
+def _fold_record(key: str, result: FoldResult) -> Dict:
+    return {
+        "kind": "fold",
+        "setting": key,
+        "fold": result.fold_index,
+        "history": result.history.to_dict(),
+        "report": result.report.to_dict(),
+    }
 
 
-def _run_fold_task(
-    payload: Tuple[int, str, FoldSpec],
-) -> Tuple[int, str, int, Optional[FoldResult], Optional[str], bool]:
-    """Execute one fold in a pool worker; never raises.
-
-    Errors come back as strings so a failing fold costs one work unit,
-    not the pool (an exception escaping a worker can poison the whole
-    executor), and so the parent can apply its retry-then-report policy.
-    The final element says whether a retry could plausibly help:
-    training divergence is a deterministic property of (setting, fold,
-    seed), so it goes straight to a :class:`SweepFailure` instead of
-    burning a retry on the identical NaN.
-    """
-    setting_index, key, spec = payload
-    try:
-        return (setting_index, key, spec.fold_index,
-                run_fold(spec, _POOL_DATASET), None, False)
-    except TrainingDivergedError as exc:
-        return (
-            setting_index,
-            key,
-            spec.fold_index,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            False,
-        )
-    except Exception as exc:  # repro: allow[broad-except] — fault isolation boundary
-        return (
-            setting_index,
-            key,
-            spec.fold_index,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            True,
-        )
-
-
-# ----------------------------------------------------------------------
-# executor
+def _fold_from_record(record: Dict) -> FoldResult:
+    return FoldResult(
+        fold_index=record["fold"],
+        history=TrainingHistory.from_dict(record["history"]),
+        report=ClassificationReport.from_dict(record["report"]),
+    )
 
 
 class SweepExecutor:
-    """Fan a grid search's (setting x fold) product over a process pool.
+    """Run a grid search's (setting x fold) product on the offline runner.
 
     Built on a :class:`GridSearch` so model/training configurations are
-    resolved by exactly the code the serial path uses; ``n_jobs=1`` runs
-    the same work units in-process (useful with a journal but without
-    multiprocessing).  Results are reassembled in fold order, making the
-    outcome independent of completion order and bit-for-bit equal to
-    ``GridSearch.run``.
+    resolved by the one :meth:`GridSearch.configs_for`.  ``n_jobs=1``
+    runs the units in-process; more fan them over supervised worker
+    processes.  Results are reassembled in fold order, so the outcome is
+    independent of completion order and of ``n_jobs``.  ``search.progress``
+    fires once per setting, when that setting's last fold lands.
     """
 
     def __init__(
@@ -268,7 +179,6 @@ class SweepExecutor:
         journal_path: Optional[str] = None,
         resume: bool = False,
         max_retries: int = 1,
-        fold_progress: Optional[Callable[[int, int, HyperparameterSetting, int], None]] = None,
     ) -> None:
         if n_jobs < 1:
             raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -281,7 +191,6 @@ class SweepExecutor:
         self.journal_path = journal_path
         self.resume = resume
         self.max_retries = max_retries
-        self.fold_progress = fold_progress
 
     # -- plumbing -----------------------------------------------------
 
@@ -295,6 +204,7 @@ class SweepExecutor:
             "seed": search.seed,
             "dataset_size": len(search.dataset),
             "num_classes": search.dataset.num_classes,
+            "dataset_digest": dataset_digest(search.dataset),
         }
 
     def _plan(
@@ -324,158 +234,96 @@ class SweepExecutor:
     def run(self, settings: Iterable[HyperparameterSetting]) -> SweepReport:
         settings = list(settings)
         started = time.perf_counter()
+        search = self.search
         tasks = self._plan(settings)
+        journal, records = open_journal(
+            self.journal_path, self._fingerprint(), self.resume
+        )
+        # Failure records are re-attempted, not resumed.
+        completed = {
+            (record["setting"], record["fold"]): _fold_from_record(record)
+            for record in records if record.get("kind") == "fold"
+        }
 
-        journal: Optional[SweepJournal] = None
-        completed: Dict[Tuple[str, int], FoldResult] = {}
-        if self.journal_path is not None:
-            journal = SweepJournal(self.journal_path, self._fingerprint())
-            if self.resume:
-                completed = journal.load_completed()
-            journal.open_for_append(fresh=not self.resume)
+        landed: Dict[int, List[FoldResult]] = {}
+        results: Dict[int, CrossValidationResult] = {}
+        failures: Dict[int, SweepFailure] = {}
+        attempts: Dict[int, int] = {}
+        retry: List[Tuple[int, FoldSpec]] = []
+        executed = 0
 
-        pending = [t for t in tasks if (t[1], t[2].fold_index) not in completed]
-        resumed_folds = len(tasks) - len(pending)
-        failures: List[SweepFailure] = []
-        # (setting_index, fold_index) -> FoldResult for this run's work.
-        executed: Dict[Tuple[int, int], FoldResult] = {}
+        def land(task_index: int, result: FoldResult) -> None:
+            """Bank one fold; a setting's last fold scores the setting."""
+            setting_index = tasks[task_index][0]
+            folds = landed.setdefault(setting_index, [])
+            folds.append(result)
+            if len(folds) == search.n_splits:
+                result_cv = assemble_cv_result(folds)
+                results[setting_index] = result_cv
+                if search.progress is not None:
+                    search.progress(len(results), len(settings),
+                                    settings[setting_index], result_cv.score)
 
-        def on_done(setting_index: int, key: str, fold_index: int,
-                    result: Optional[FoldResult], error: Optional[str],
-                    retryable: bool,
-                    attempts: Dict[Tuple[int, int], int]) -> bool:
-            """Handle one worker return; True means resubmit (retry)."""
-            unit = (setting_index, fold_index)
-            if result is not None:
-                executed[unit] = result
-                if journal is not None:
-                    journal.record_fold(key, result)
-                if self.fold_progress is not None:
-                    done = len(executed) + resumed_folds
-                    self.fold_progress(
-                        done, len(tasks), settings[setting_index], fold_index
-                    )
-                return False
-            attempts[unit] = attempts.get(unit, 1)
-            if retryable and attempts[unit] <= self.max_retries:
-                attempts[unit] += 1
-                return True
-            failures.append(
-                SweepFailure(
-                    setting_key=key,
-                    setting=settings[setting_index],
-                    fold_index=fold_index,
-                    error=error or "unknown error",
-                    attempts=attempts[unit],
-                )
+        def on_ok(task_index: int, result: FoldResult) -> None:
+            nonlocal executed
+            executed += 1
+            if journal is not None:
+                journal.append(_fold_record(tasks[task_index][1], result))
+            land(task_index, result)
+
+        def on_fail(task_index: int, kind: str, detail: str) -> None:
+            setting_index, key, spec = tasks[task_index]
+            attempts[task_index] = attempts.get(task_index, 0) + 1
+            if kind != DIVERGED and attempts[task_index] <= self.max_retries:
+                retry.append((task_index, spec))
+                return
+            failures[task_index] = SweepFailure(
+                setting_key=key,
+                setting=settings[setting_index],
+                fold_index=spec.fold_index,
+                error=detail,
+                attempts=attempts[task_index],
             )
             if journal is not None:
-                journal.record_failure(key, fold_index, error or "?", attempts[unit])
-            return False
+                journal.append({
+                    "kind": "failure", "setting": key,
+                    "fold": spec.fold_index, "error": detail,
+                    "attempts": attempts[task_index],
+                })
 
-        try:
-            if self.n_jobs == 1:
-                self._run_serial(pending, on_done)
+        units: List[Tuple[int, FoldSpec]] = []
+        for task_index, (_, key, spec) in enumerate(tasks):
+            if (key, spec.fold_index) in completed:
+                land(task_index, completed[(key, spec.fold_index)])
             else:
-                self._run_pooled(pending, on_done)
+                units.append((task_index, spec))
+        resumed_folds = len(tasks) - len(units)
+        pool = ProcessWorkerPool(
+            FOLD_ENTRYPOINT, {"dataset": search.dataset}, self.n_jobs
+        )
+        try:
+            while units:
+                pool.run(units, on_ok, on_fail)
+                units = list(retry)
+                retry.clear()
         finally:
             if journal is not None:
                 journal.close()
 
-        report = self._assemble(
-            settings, completed, executed, failures, resumed_folds
+        ordered_failures = [failures[i] for i in sorted(failures)]
+        grid_result = GridSearchResult(
+            entries=[
+                GridSearchEntry(setting=setting, result=results[index])
+                for index, setting in enumerate(settings)
+                if index in results
+            ],
+            failures=list(ordered_failures),
         )
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def _run_serial(self, pending, on_done) -> None:
-        attempts: Dict[Tuple[int, int], int] = {}
-        queue = list(pending)
-        while queue:
-            task = queue.pop(0)
-            outcome = _run_fold_task_local(task, self.search.dataset)
-            if on_done(*outcome, attempts):
-                queue.insert(0, task)
-
-    def _run_pooled(self, pending, on_done) -> None:
-        attempts: Dict[Tuple[int, int], int] = {}
-        with ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            initializer=_pool_init,
-            initargs=(self.search.dataset,),
-        ) as pool:
-            by_future = {
-                pool.submit(_run_fold_task, task): task for task in pending
-            }
-            while by_future:
-                done, _ = wait(by_future, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = by_future.pop(future)
-                    outcome = future.result()  # worker never raises
-                    if on_done(*outcome, attempts):
-                        by_future[pool.submit(_run_fold_task, task)] = task
-
-    # -- reassembly ---------------------------------------------------
-
-    def _assemble(
-        self,
-        settings: List[HyperparameterSetting],
-        completed: Dict[Tuple[str, int], FoldResult],
-        executed: Dict[Tuple[int, int], FoldResult],
-        failures: List[SweepFailure],
-        resumed_folds: int,
-    ) -> SweepReport:
-        search = self.search
-        entries: List[GridSearchEntry] = []
-        failed_settings = {f.setting_key for f in failures}
-        position = 0
-        for setting_index, setting in enumerate(settings):
-            key = setting_key(setting)
-            if key in failed_settings:
-                continue
-            fold_results = [
-                completed.get((key, fold), executed.get((setting_index, fold)))
-                for fold in range(search.n_splits)
-            ]
-            result = assemble_cv_result([r for r in fold_results if r is not None])
-            entries.append(GridSearchEntry(setting=setting, result=result))
-            position += 1
-            if search.progress is not None:
-                search.progress(position, len(settings), setting, result.score)
-        grid_result = GridSearchResult(entries=entries, failures=list(failures))
         return SweepReport(
             grid_result=grid_result,
-            failures=list(failures),
+            failures=ordered_failures,
             total_folds=len(settings) * search.n_splits,
-            executed_folds=len(executed),
+            executed_folds=executed,
             resumed_folds=resumed_folds,
-            wall_seconds=0.0,
-        )
-
-
-def _run_fold_task_local(
-    task: Tuple[int, str, FoldSpec], dataset: MalwareDataset
-) -> Tuple[int, str, int, Optional[FoldResult], Optional[str], bool]:
-    """In-process twin of :func:`_run_fold_task` (the ``n_jobs=1`` path)."""
-    setting_index, key, spec = task
-    try:
-        return (setting_index, key, spec.fold_index,
-                run_fold(spec, dataset), None, False)
-    except TrainingDivergedError as exc:  # deterministic — never retried
-        return (
-            setting_index,
-            key,
-            spec.fold_index,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            False,
-        )
-    except Exception as exc:  # repro: allow[broad-except] — same fault boundary as the pool
-        return (
-            setting_index,
-            key,
-            spec.fold_index,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            True,
+            wall_seconds=time.perf_counter() - started,
         )

@@ -7,8 +7,9 @@ This package owns the one supervisor both halves of the system run on,
 :class:`~repro.workers.request.RequestWorker`, which holds every
 supervision rule (deadline and SIGKILL, crash and startup-failure
 detection, stale replies, respawn).  The batch-mode
-:class:`~repro.workers.pool.ProcessWorkerPool` (extraction) and the
-serving fleet (:mod:`repro.serve.fleet`) are policy loops over it;
+:class:`~repro.workers.pool.ProcessWorkerPool` (the one runner of
+offline work units: extraction and the sweep) and the serving fleet
+(:mod:`repro.serve.fleet`) are policy loops over it;
 :class:`~repro.workers.request.InProcessWorker` runs the same worker
 body on a thread, for the single-process service.
 Worker code is resolved by *name* inside the child, so no callable ever

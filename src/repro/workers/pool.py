@@ -1,22 +1,29 @@
-"""Batch-mode extraction pool: a policy loop over request workers.
+"""Batch-mode runner for offline work units: one loop over request workers.
 
-:class:`ProcessWorkerPool` fans a finite batch of extraction units over
-:class:`~repro.workers.request.RequestWorker` children that run
-:func:`repro.features.pipeline.extraction_service`.  Supervision — the
-per-sample deadline and its SIGKILL, crash detection on pipe EOF, the
-stale-reply drop, respawn — is the request worker's; the pool only
-decides what each outcome costs:
+:class:`ProcessWorkerPool` runs a finite batch of ``(index, item)``
+units through the handler a named entrypoint factory returns — ACFG
+extraction (:func:`repro.features.pipeline.extraction_service`) and the
+hyper-parameter sweep (:func:`repro.train.sweep.fold_service`) both run
+on it.  A handler never raises: it returns ``("ok", result)`` or
+``("fail", kind, detail)``.
 
-* a reply carries ``execute_unit``'s outcome tuple to the callbacks;
+With one worker and no deadline the units run inline, through a handler
+the factory builds in this process.  Otherwise they run on supervised
+:class:`~repro.workers.request.RequestWorker` children.  Supervision —
+the per-unit deadline and its SIGKILL, crash detection on pipe EOF, the
+stale-reply drop, the orphan watchdog, respawn — is the request
+worker's; the pool only decides what each outcome costs:
+
+* a reply carries the handler's outcome tuple to the callbacks;
 * a unit whose worker blew its deadline is reported as a ``timeout``,
   one whose worker died as a ``crash`` with the observed exit code, and
   a fresh worker takes the slot while units remain;
 * a worker that cannot start raises
   :class:`~repro.exceptions.WorkerStartupError`: no unit can run on it.
 
-The parent applies outcomes through callbacks, so the policy layer
-(journaling, quarantine, report assembly) lives entirely in
-:mod:`repro.features.pipeline`.
+The parent applies outcomes through callbacks, so the policy layers
+(journaling, quarantine and report assembly for extraction; retries and
+failure records for the sweep) live with their callers.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import (
     Any,
     Callable,
     Deque,
+    Dict,
     List,
     Optional,
     Sequence,
@@ -45,50 +53,63 @@ from repro.workers.request import (
     TIMED_OUT,
     RequestWorker,
     WorkerEvent,
+    resolve_entrypoint,
 )
 
 if TYPE_CHECKING:
     from repro.workers.request import PipeConn
 
-#: The extraction worker factory each child runs (resolved by name).
-ENTRYPOINT = "repro.features.pipeline:extraction_service"
+OnOk = Callable[[int, Any], None]
+OnFail = Callable[[int, str, str], None]
+
+
+def _report(outcome: Tuple[Any, ...], index: int, on_ok: OnOk,
+            on_fail: OnFail) -> None:
+    """Hand one handler outcome tuple to its callback."""
+    if outcome[0] == "ok":
+        on_ok(index, outcome[1])
+    else:
+        on_fail(index, outcome[1], outcome[2])
 
 
 class ProcessWorkerPool:
-    """Fan extraction units over killable, respawnable worker processes.
+    """Run work units inline or on killable, respawnable worker processes.
 
     Parameters
     ----------
-    worker_name:
-        Registry key resolved inside each worker (the callable itself is
-        never pickled, so the pool works under both fork and spawn).
-    worker_ctx:
-        Picklable :class:`~repro.features.pipeline.WorkerContext` shipped
-        to every worker (size guard, fault plan).
+    entrypoint:
+        ``"module.path:function"`` factory resolved inside each worker
+        (the callable itself is never pickled, so the pool works under
+        both fork and spawn); called with ``init_kwargs``, it returns the
+        unit handler.
+    init_kwargs:
+        Keyword arguments of the factory.  Forked workers inherit them,
+        and the inline path passes them by reference.
     max_workers:
-        Number of concurrent worker processes.
+        Number of concurrent worker processes; ``1`` without a
+        ``timeout`` runs the units inline.
     timeout:
-        Optional per-sample wall-clock limit in seconds; a unit still
+        Optional per-unit wall-clock limit in seconds; a unit still
         running at its deadline is killed and reported as a timeout.
     """
 
     def __init__(
         self,
-        worker_name: str,
-        worker_ctx: Any,
+        entrypoint: str,
+        init_kwargs: Dict[str, Any],
         max_workers: int,
         timeout: Optional[float] = None,
     ) -> None:
-        self.worker_name = worker_name
-        self.worker_ctx = worker_ctx
+        self.entrypoint = entrypoint
+        self.init_kwargs = init_kwargs
         self.max_workers = max_workers
         self.timeout = timeout
 
     def run(
         self,
         units: Sequence[Tuple[int, Any]],
-        on_ok: Callable[[int, Any], None],
-        on_fail: Callable[[int, str, str], None],
+        on_ok: OnOk,
+        on_fail: OnFail,
     ) -> None:
         """Execute every ``(index, item)`` unit, reporting via callbacks.
 
@@ -98,13 +119,14 @@ class ProcessWorkerPool:
         pending: Deque[Tuple[int, Any]] = deque(units)
         if not pending:
             return
+        if self.max_workers == 1 and self.timeout is None:
+            handler = resolve_entrypoint(self.entrypoint)(**self.init_kwargs)
+            for unit in pending:
+                _report(handler(unit), unit[0], on_ok, on_fail)
+            return
+        label = self.entrypoint.rpartition(":")[2]
         workers: List[RequestWorker] = [
-            RequestWorker(
-                f"extract-{self.worker_name}#{slot}",
-                ENTRYPOINT,
-                {"worker_name": self.worker_name,
-                 "worker_ctx": self.worker_ctx},
-            )
+            RequestWorker(f"{label}#{slot}", self.entrypoint, self.init_kwargs)
             for slot in range(min(self.max_workers, len(pending)))
         ]
         try:
@@ -133,12 +155,12 @@ class ProcessWorkerPool:
 
     def _send(self, worker: RequestWorker,
               pending: Deque[Tuple[int, Any]]) -> None:
-        index, item = pending.popleft()
+        unit = pending.popleft()
         try:
-            worker.send(index, (index, item), timeout=self.timeout)
+            worker.send(unit[0], unit, timeout=self.timeout)
         except (BrokenPipeError, OSError):
             # Worker died between units; its replacement gets the unit.
-            pending.appendleft((index, item))
+            pending.appendleft(unit)
             worker.respawn()
 
     def _settle(
@@ -146,8 +168,8 @@ class ProcessWorkerPool:
         worker: RequestWorker,
         event: Optional[WorkerEvent],
         pending: Deque[Tuple[int, Any]],
-        on_ok: Callable[[int, Any], None],
-        on_fail: Callable[[int, str, str], None],
+        on_ok: OnOk,
+        on_fail: OnFail,
     ) -> None:
         """Charge one supervision event to its unit."""
         if event is None or event.kind == STARTED:
@@ -156,10 +178,7 @@ class ProcessWorkerPool:
             assert event.reply is not None
             outcome = (event.reply.value if event.reply.ok
                        else ("fail", "unexpected", event.reply.value))
-            if outcome[0] == "ok":
-                on_ok(event.request_id, outcome[1])
-            else:
-                on_fail(event.request_id, outcome[1], outcome[2])
+            _report(outcome, event.request_id, on_ok, on_fail)
             return
         if event.kind == STARTUP_FAILED:
             raise WorkerStartupError(worker.name, event.detail)

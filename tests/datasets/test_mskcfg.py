@@ -78,6 +78,9 @@ class TestDatasetGeneration:
         sequential = generate_mskcfg_dataset(total=20, seed=9, max_workers=1)
         parallel = generate_mskcfg_dataset(total=20, seed=9, max_workers=4)
         assert [a.name for a in sequential.acfgs] == [a.name for a in parallel.acfgs]
+        for a, b in zip(sequential.acfgs, parallel.acfgs):
+            np.testing.assert_array_equal(a.edges, b.edges)
+            np.testing.assert_array_equal(a.attributes, b.attributes)
 
 
 class TestSampleRegeneration:

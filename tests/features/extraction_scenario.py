@@ -56,7 +56,6 @@ def build_pipeline(
 ) -> AcfgPipeline:
     return AcfgPipeline(
         max_workers=N_JOBS,
-        use_processes=True,
         timeout=TIMEOUT_SECONDS,
         max_vertices=MAX_VERTICES,
         journal_path=journal_path,

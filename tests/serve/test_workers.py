@@ -53,13 +53,14 @@ time.sleep(3600)
 """
 
 #: Runs one extraction unit that hangs (``FaultPlan`` hang, no deadline)
-#: on a process worker, and waits on it forever.
+#: on a process worker — two allowed, one sample, so one starts — and
+#: waits on it forever.
 HUNG_EXTRACTION = """
 from repro.datasets import generate_mskcfg_listings
 from repro.features.pipeline import AcfgPipeline
 from repro.testing.faults import FaultPlan
 samples = list(generate_mskcfg_listings(total=18, seed=5))[:1]
-AcfgPipeline(max_workers=1, use_processes=True,
+AcfgPipeline(max_workers=2,
              fault_plan=FaultPlan.build(hang_on=[0])).extract_from_texts(samples)
 """
 
@@ -115,6 +116,26 @@ def exited(pid):
             return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
     except FileNotFoundError:
         return True
+
+
+def assert_workers_die_with(parent, workers):
+    """SIGKILL ``parent``: every pid in ``workers`` must be gone within
+    five orphan-check intervals."""
+    os.kill(parent.pid, signal.SIGKILL)
+    parent.wait(timeout=30)
+    bound = 5 * request_module._ORPHAN_CHECK_SECONDS
+    deadline = time.monotonic() + bound
+    while time.monotonic() < deadline and not all(map(exited, workers)):
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if not exited(pid)]
+    assert not survivors, f"workers {survivors} outlived their parent by {bound}s"
+
+
+def kill_survivors(parent, workers):
+    for pid in [parent.pid] + workers:
+        if not exited(pid):
+            os.kill(pid, signal.SIGKILL)
+    parent.wait(timeout=30)
 
 
 def next_event(worker, timeout=30.0):
@@ -362,18 +383,9 @@ class TestSupervision:
             # give them ample time so the worker is busy when the parent dies.
             time.sleep(1.0)
             assert not exited(workers[0])
-            os.kill(parent.pid, signal.SIGKILL)
-            parent.wait(timeout=30)
-            bound = 5 * request_module._ORPHAN_CHECK_SECONDS
-            deadline = time.monotonic() + bound
-            while time.monotonic() < deadline and not exited(workers[0]):
-                time.sleep(0.05)
-            assert exited(workers[0]), f"worker outlived its parent by {bound}s"
+            assert_workers_die_with(parent, workers)
         finally:
-            for pid in [parent.pid] + workers:
-                if not exited(pid):
-                    os.kill(pid, signal.SIGKILL)
-            parent.wait(timeout=30)
+            kill_survivors(parent, workers)
 
 
 class TestInProcessWorker:

@@ -498,3 +498,23 @@ class TestSweep:
         assert len(ranking) == 1
         assert ranking[0]["rank"] == 1
         assert len(ranking[0]["fold_validation_losses"]) == 2
+
+    @pytest.mark.parametrize("n_jobs", ["1", "2"])
+    def test_failing_fold_reported_with_exit_1_at_every_n_jobs(
+        self, n_jobs, capsys, monkeypatch
+    ):
+        import repro.train.sweep as sweep_module
+
+        def broken(spec, dataset, model_factory=None):
+            raise RuntimeError("synthetic fold crash")
+
+        monkeypatch.setattr(sweep_module, "run_fold", broken)
+        code = main([
+            "sweep", "--dataset", "mskcfg", "--total", "24",
+            "--settings", "1", "--epochs", "1", "--folds", "2",
+            "--hidden-size", "8", "--n-jobs", n_jobs,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("FAILED") == 2
+        assert "after 2 attempts: RuntimeError: synthetic fold crash" in err

@@ -1,10 +1,11 @@
-"""Tests for the parallel sweep engine (repro.train.sweep).
+"""Tests for the sweep engine (repro.train.sweep).
 
 The load-bearing property is *bit-for-bit equivalence*: fanning the
 (setting x fold) product over worker processes, journaling it, killing
-it and resuming it must all reproduce exactly what the serial
-``GridSearch.run`` loop computes — same rankings, same per-fold
-validation-loss arrays, exact float equality.
+it and resuming it must all reproduce exactly what the serial reference
+loop (:func:`serial_reference`, one ``cross_validate_config`` per
+setting) computes — same rankings, same per-fold validation-loss
+arrays, exact float equality.
 """
 
 import json
@@ -20,12 +21,21 @@ import pytest
 import repro
 from repro.datasets import generate_mskcfg_dataset
 from repro.exceptions import ConfigurationError
+from repro.fileio import Journal
+from repro.train.cross_validation import cross_validate_config
 from repro.train.hyperparameter import (
     GridSearch,
+    GridSearchEntry,
+    GridSearchResult,
     HyperparameterSetting,
     dataset_invariants,
 )
-from repro.train.sweep import SweepExecutor, SweepJournal, setting_key
+from repro.train.sweep import SweepExecutor, dataset_digest, setting_key
+from tests.serve.test_workers import (
+    assert_workers_die_with,
+    children_of,
+    kill_survivors,
+)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -53,6 +63,43 @@ def make_search(dataset, **overrides):
     kwargs = dict(epochs=2, n_splits=2, hidden_size=8, seed=0)
     kwargs.update(overrides)
     return GridSearch(dataset, **kwargs)
+
+
+def serial_reference(search, settings):
+    """The plain serial grid search: one ``cross_validate_config`` per
+    setting, a raising fold propagating — the equivalence reference."""
+    num_attributes, graph_sizes = dataset_invariants(search.dataset)
+    entries = []
+    for setting in settings:
+        model_config, training_config = search.configs_for(
+            setting, num_attributes, graph_sizes
+        )
+        result = cross_validate_config(
+            model_config, search.dataset, training_config,
+            n_splits=search.n_splits, seed=search.seed,
+        )
+        entries.append(GridSearchEntry(setting=setting, result=result))
+    return GridSearchResult(entries=entries)
+
+
+def before_each_fold(monkeypatch, hook):
+    """Call ``hook(spec)`` ahead of every ``run_fold``; it may raise or
+    end the process.  Forked workers inherit the patch."""
+    import repro.train.sweep as sweep_module
+
+    real_run_fold = sweep_module.run_fold
+
+    def hooked(spec, dataset, model_factory=None):
+        hook(spec)
+        return real_run_fold(spec, dataset, model_factory=model_factory)
+
+    monkeypatch.setattr(sweep_module, "run_fold", hooked)
+
+
+def poison_setting(search, setting):
+    """A predicate true for the fold specs of ``setting``."""
+    config, _ = search.configs_for(setting, *dataset_invariants(search.dataset))
+    return lambda spec: spec.model_config == config
 
 
 def assert_bitwise_equal(a, b):
@@ -91,7 +138,7 @@ class TestSettingKey:
 class TestEquivalence:
     def test_parallel_matches_serial_exactly(self, sweep_dataset):
         """The acceptance criterion: n_jobs=2 == serial, float-exact."""
-        serial = make_search(sweep_dataset).run(small_settings())
+        serial = serial_reference(make_search(sweep_dataset), small_settings())
         report = SweepExecutor(make_search(sweep_dataset), n_jobs=2).run(
             small_settings()
         )
@@ -100,9 +147,11 @@ class TestEquivalence:
         assert_bitwise_equal(serial, report.grid_result)
 
     def test_grid_search_n_jobs_delegates(self, sweep_dataset):
-        serial = make_search(sweep_dataset).run(small_settings())
+        serial = serial_reference(make_search(sweep_dataset), small_settings())
+        inline = make_search(sweep_dataset).run(small_settings())
         parallel = make_search(sweep_dataset).run(small_settings(), n_jobs=2)
-        assert parallel.failures == []
+        assert inline.failures == parallel.failures == []
+        assert_bitwise_equal(serial, inline)
         assert_bitwise_equal(serial, parallel)
 
     def test_progress_fires_once_per_setting(self, sweep_dataset):
@@ -113,6 +162,22 @@ class TestEquivalence:
         )
         SweepExecutor(search, n_jobs=2).run(small_settings())
         assert sorted(calls) == [(1, 2), (2, 2)]
+
+    def test_serial_sweep_reports_each_setting_as_it_lands(
+        self, sweep_dataset, tmp_path, monkeypatch
+    ):
+        """Progress fires when a setting's last fold lands, not at the end."""
+        events = []
+        before_each_fold(monkeypatch, lambda spec: events.append("fold"))
+        search = make_search(
+            sweep_dataset,
+            progress=lambda i, n, s, score: events.append(f"setting {i}/{n}"),
+        )
+        SweepExecutor(
+            search, n_jobs=1, journal_path=str(tmp_path / "sweep.jsonl")
+        ).run(small_settings())
+        assert events == ["fold", "fold", "setting 1/2",
+                          "fold", "fold", "setting 2/2"]
 
 
 class TestJournalResume:
@@ -161,6 +226,25 @@ class TestJournalResume:
                 journal_path=journal, resume=True,
             ).run(small_settings())
 
+    def test_resume_onto_another_corpus_refused(self, tmp_path):
+        """Same size, names and labels, different graphs: no splice."""
+        journal = str(tmp_path / "sweep.jsonl")
+        first, second = (
+            generate_mskcfg_dataset(total=30, seed=seed, minimum_per_family=4)
+            for seed in (0, 1)
+        )
+        assert [a.name for a in first.acfgs] == [a.name for a in second.acfgs]
+        assert list(first.labels()) == list(second.labels())
+        settings = small_settings()[:1]
+        SweepExecutor(
+            make_search(first, epochs=1), journal_path=journal
+        ).run(settings)
+        with pytest.raises(ConfigurationError, match="fingerprint"):
+            SweepExecutor(
+                make_search(second, epochs=1), journal_path=journal,
+                resume=True,
+            ).run(settings)
+
     def test_journal_without_resume_starts_fresh(self, sweep_dataset, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
         SweepExecutor(
@@ -188,44 +272,35 @@ class TestFaultTolerance:
     def test_transient_failure_retried_once(
         self, sweep_dataset, monkeypatch
     ):
-        import repro.train.sweep as sweep_module
-
-        real_run_fold = sweep_module.run_fold
         poisoned = {"remaining": 1}
 
-        def flaky(spec, dataset, model_factory=None):
+        def flaky(spec):
             if spec.fold_index == 1 and poisoned["remaining"]:
                 poisoned["remaining"] -= 1
                 raise RuntimeError("synthetic transient fold crash")
-            return real_run_fold(spec, dataset, model_factory=model_factory)
 
-        monkeypatch.setattr(sweep_module, "run_fold", flaky)
-        serial = make_search(sweep_dataset).run(small_settings())
+        before_each_fold(monkeypatch, flaky)
         report = SweepExecutor(make_search(sweep_dataset), n_jobs=1).run(
             small_settings()
         )
+        monkeypatch.undo()
+        serial = serial_reference(make_search(sweep_dataset), small_settings())
         assert report.failures == []
         assert_bitwise_equal(serial, report.grid_result)
 
     def test_persistent_failure_reported_not_raised(
         self, sweep_dataset, monkeypatch, tmp_path
     ):
-        import repro.train.sweep as sweep_module
-
-        real_run_fold = sweep_module.run_fold
         settings = small_settings()
         poison_key = setting_key(settings[0])
         search = make_search(sweep_dataset)
-        poison_config, _ = search.configs_for(
-            settings[0], *dataset_invariants(sweep_dataset)
-        )
+        poisoned = poison_setting(search, settings[0])
 
-        def always_broken(spec, dataset, model_factory=None):
-            if spec.model_config == poison_config:
+        def always_broken(spec):
+            if poisoned(spec):
                 raise RuntimeError("synthetic persistent fold crash")
-            return real_run_fold(spec, dataset, model_factory=model_factory)
 
-        monkeypatch.setattr(sweep_module, "run_fold", always_broken)
+        before_each_fold(monkeypatch, always_broken)
         journal = str(tmp_path / "sweep.jsonl")
         report = SweepExecutor(
             search, n_jobs=1, journal_path=journal
@@ -245,6 +320,55 @@ class TestFaultTolerance:
             SweepExecutor(make_search(sweep_dataset), n_jobs=0)
 
 
+class TestWorkerCrash:
+    """A fold whose worker process dies costs that fold, not the sweep."""
+
+    def test_crash_on_first_attempt_is_retried_on_a_respawned_worker(
+        self, sweep_dataset, monkeypatch, tmp_path
+    ):
+        marker = tmp_path / "crashed-once"
+
+        def crash_first_attempt(spec):
+            if spec.fold_index == 1 and not marker.exists():
+                marker.touch()
+                os._exit(3)
+
+        before_each_fold(monkeypatch, crash_first_attempt)
+        report = SweepExecutor(make_search(sweep_dataset), n_jobs=2).run(
+            small_settings()
+        )
+        monkeypatch.undo()
+        assert marker.exists()
+        assert report.failures == []
+        assert report.executed_folds == 4
+        assert_bitwise_equal(
+            serial_reference(make_search(sweep_dataset), small_settings()),
+            report.grid_result,
+        )
+
+    def test_fold_whose_worker_always_dies_becomes_a_failure(
+        self, sweep_dataset, monkeypatch
+    ):
+        settings = small_settings()
+        search = make_search(sweep_dataset)
+        poisoned = poison_setting(search, settings[0])
+
+        def always_crash(spec):
+            if poisoned(spec) and spec.fold_index == 0:
+                os._exit(3)
+
+        before_each_fold(monkeypatch, always_crash)
+        report = SweepExecutor(search, n_jobs=2).run(settings)
+        monkeypatch.undo()
+        (failure,) = report.failures
+        assert failure.setting == settings[0] and failure.fold_index == 0
+        assert failure.attempts == 2
+        assert "died" in failure.error and "exit code 3" in failure.error
+        assert [e.setting for e in report.grid_result.entries] == [settings[1]]
+        reference = serial_reference(make_search(sweep_dataset), settings[1:])
+        assert_bitwise_equal(reference, report.grid_result)
+
+
 class TestDatasetInvariants:
     def test_returns_hoisted_invariants(self, sweep_dataset):
         num_attributes, graph_sizes = dataset_invariants(sweep_dataset)
@@ -259,47 +383,47 @@ class TestDatasetInvariants:
             search.run(small_settings())
 
 
+def sweep_cli(tmp_path, tag, extra):
+    """A small ``repro.cli sweep`` command line, its env and output path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    output = str(tmp_path / f"{tag}.json")
+    cmd = [sys.executable, "-m", "repro.cli", "sweep", "--dataset", "mskcfg",
+           "--total", "30", "--settings", "2", "--epochs", "2", "--folds", "2",
+           "--hidden-size", "8", "--seed", "0", "--output", output, *extra]
+    return cmd, env, output
+
+
+def start_until_first_fold(cmd, env, journal):
+    """Start a journaled CLI sweep; return it once a fold is journaled
+    (or it has exited, or four minutes have passed)."""
+    process = subprocess.Popen(
+        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    deadline = time.monotonic() + 240
+    while time.monotonic() < deadline and process.poll() is None:
+        if os.path.exists(journal) and '"kind": "fold"' in open(journal).read():
+            break
+        time.sleep(0.02)
+    return process
+
+
 class TestKillAndResume:
     """End-to-end: SIGKILL a journaled CLI sweep, resume, compare."""
 
-    CLI_ARGS = [
-        "sweep", "--dataset", "mskcfg", "--total", "30", "--settings", "2",
-        "--epochs", "2", "--folds", "2", "--hidden-size", "8", "--seed", "0",
-    ]
-
-    def run_cli(self, tmp_path, tag, extra):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        output = str(tmp_path / f"{tag}.json")
-        cmd = [sys.executable, "-m", "repro.cli", *self.CLI_ARGS,
-               "--output", output, *extra]
-        return cmd, env, output
-
     def test_killed_sweep_resumes_to_identical_ranking(self, tmp_path):
         # Reference: uninterrupted, journal-free run.
-        cmd, env, reference_path = self.run_cli(tmp_path, "reference", [])
+        cmd, env, reference_path = sweep_cli(tmp_path, "reference", [])
         subprocess.run(cmd, env=env, check=True, capture_output=True,
                        timeout=300)
 
         # Interrupted run: SIGKILL once the first fold hits the journal.
         journal = str(tmp_path / "sweep.jsonl")
-        cmd, env, _ = self.run_cli(
+        cmd, env, _ = sweep_cli(
             tmp_path, "interrupted", ["--journal", journal]
         )
-        process = subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
+        process = start_until_first_fold(cmd, env, journal)
         try:
-            deadline = time.time() + 240
-            while time.time() < deadline and process.poll() is None:
-                if os.path.exists(journal):
-                    folds = [
-                        line for line in open(journal).read().splitlines()
-                        if '"kind": "fold"' in line
-                    ]
-                    if folds:
-                        break
-                time.sleep(0.02)
             if process.poll() is None:
                 process.send_signal(signal.SIGKILL)
             process.wait(timeout=60)
@@ -308,7 +432,7 @@ class TestKillAndResume:
                 process.kill()
 
         # Resume and compare against the uninterrupted ranking.
-        cmd, env, resumed_path = self.run_cli(
+        cmd, env, resumed_path = sweep_cli(
             tmp_path, "resumed", ["--journal", journal, "--resume"]
         )
         subprocess.run(cmd, env=env, check=True, capture_output=True,
@@ -332,18 +456,52 @@ class TestKillAndResume:
 class TestJournalUnit:
     def test_header_roundtrip(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        journal = SweepJournal(path, {"epochs": 2, "n_splits": 2})
+        journal = Journal(path, {"epochs": 2, "n_splits": 2})
         journal.open_for_append(fresh=True)
         journal.close()
-        same = SweepJournal(path, {"epochs": 2, "n_splits": 2})
-        assert same.load_completed() == {}
-        other = SweepJournal(path, {"epochs": 3, "n_splits": 2})
-        with pytest.raises(ConfigurationError):
-            other.load_completed()
+        same = Journal(path, {"epochs": 2, "n_splits": 2})
+        assert same.load() == []
+        other = Journal(path, {"epochs": 3, "n_splits": 2})
+        with pytest.raises(ConfigurationError, match="fingerprint"):
+            other.load()
 
     def test_non_header_first_line_rejected(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with open(path, "w") as handle:
             handle.write('{"kind": "fold"}\n')
         with pytest.raises(ConfigurationError, match="header"):
-            SweepJournal(path, {}).load_completed()
+            Journal(path, {}).load()
+
+
+class TestDatasetDigest:
+    def test_order_and_content_aware(self, sweep_dataset):
+        digest = dataset_digest(sweep_dataset)
+        assert digest == dataset_digest(sweep_dataset)
+        reordered = sweep_dataset.subset(
+            list(range(1, len(sweep_dataset))) + [0]
+        )
+        assert dataset_digest(reordered) != digest
+        changed = sweep_dataset.subset(range(len(sweep_dataset)))
+        changed.acfgs[0] = changed.acfgs[0].replace(
+            attributes=changed.acfgs[0].attributes + 1.0
+        )
+        assert dataset_digest(changed) != digest
+
+
+class TestNoOrphans:
+    """A SIGKILLed sweep driver takes its worker processes with it."""
+
+    def test_sweep_workers_exit_when_the_driver_is_killed(self, tmp_path):
+        journal = str(tmp_path / "sweep.jsonl")
+        cmd, env, _ = sweep_cli(
+            tmp_path, "orphans", ["--n-jobs", "2", "--journal", journal]
+        )
+        driver = start_until_first_fold(cmd, env, journal)
+        workers = []
+        try:
+            workers = children_of(driver.pid)
+            assert driver.poll() is None, "the sweep finished before the kill"
+            assert workers, "no worker process to watch"
+            assert_workers_die_with(driver, workers)
+        finally:
+            kill_survivors(driver, workers)
