@@ -1,8 +1,9 @@
 """Supervised worker processes: the shared fault-model for parallel work.
 
 ``concurrent.futures`` pools cannot express the fault model this project
-needs: a thread cannot be cancelled at all, and ``ProcessPoolExecutor``
-cannot kill *one* hung worker without tearing down the whole executor.
+needs: a thread cannot be cancelled at all, and a process-pool executor
+cannot kill *one* hung worker without tearing down the whole pool, nor
+survive one worker's crash.
 This package owns the one supervisor both halves of the system run on,
 :class:`~repro.workers.request.RequestWorker`, which holds every
 supervision rule (deadline and SIGKILL, crash and startup-failure
