@@ -1,11 +1,12 @@
 """Rule ``pool-safety`` — nothing unpicklable crosses a process boundary.
 
-``repro.workers.request`` spawns the supervised worker processes that
+``repro.workers.request`` starts the supervised worker processes that
 the offline runner (extraction and the sweep) and the serving fleet run
-on, and the lint engine fans files over a ``ProcessPoolExecutor``; both
-pickle what they are handed under the ``spawn`` start method.  The
-workers avoid the problem by shipping entrypoint *names*, never
-callables.  Lambdas and locally-defined (nested) functions
+on.  It ships each worker an entrypoint *name* and its init kwargs,
+never a callable: the kwargs are inherited under the ``fork`` start
+method and pickled under ``spawn``.  The lint engine fans files over a
+``ProcessPoolExecutor``, which pickles what it is handed.  Lambdas and
+locally-defined (nested) functions
 are unpicklable, and the failure is deferred — the pool raises deep
 inside ``concurrent.futures`` at submit time, or worse, only under the
 ``spawn`` start method on another platform.  This rule rejects them at
@@ -17,10 +18,10 @@ review time instead:
 * ``initializer=``/``target=`` arguments of ``ProcessPoolExecutor`` /
   ``multiprocessing.Process`` construction;
 * ``WorkerSpec(fn=...)`` registrations in the extraction worker
-  registry (``fn`` is resolved *by name* inside each extraction worker
-  process by ``extraction_service``, so it must be a module-level
-  function; the serialization hooks run in the parent and may stay
-  lambdas).
+  registry (``fn`` is resolved *by name* by ``extraction_service``,
+  which builds the unit handler inline or inside a worker process, so
+  it must be a module-level function; the serialization hooks run in
+  the parent and may stay lambdas).
 """
 
 from __future__ import annotations

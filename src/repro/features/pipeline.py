@@ -293,10 +293,12 @@ def execute_unit(
 def extraction_service(
     worker_name: str, worker_ctx: WorkerContext
 ) -> Callable[[Tuple[int, Tuple]], Tuple]:
-    """Entrypoint factory run *inside* each extraction worker process.
+    """Entrypoint factory of the extraction unit handler.
 
-    Referenced by name (``"repro.features.pipeline:extraction_service"``)
-    so nothing callable crosses the pipe.  The returned handler takes one
+    The offline runner calls it in the driver to run units inline, or
+    inside each worker process.  Referenced by name
+    (``"repro.features.pipeline:extraction_service"``) so nothing
+    callable crosses the pipe.  The returned handler takes one
     ``(index, item)`` unit and returns :func:`execute_unit`'s outcome
     tuple unchanged; the index keys the fault plan.
     """
@@ -525,16 +527,10 @@ class AcfgPipeline:
             if journal is not None:
                 journal.close()
 
-        ordered = sorted(set(results) | set(failures))
         return UnitReport(
-            results=[
-                (index, items[index][0], results[index])
-                for index in ordered
-                if index in results
-            ],
-            failures=[
-                failures[index] for index in ordered if index in failures
-            ],
+            results=[(index, items[index][0], results[index])
+                     for index in sorted(results)],
+            failures=[failures[index] for index in sorted(failures)],
             elapsed_seconds=time.perf_counter() - started,
             resumed_samples=resumed,
         )

@@ -236,8 +236,10 @@ class SweepExecutor:
         started = time.perf_counter()
         search = self.search
         tasks = self._plan(settings)
+        # Only a journal's header needs the fingerprint and its digest.
+        fingerprint = self._fingerprint() if self.journal_path else {}
         journal, records = open_journal(
-            self.journal_path, self._fingerprint(), self.resume
+            self.journal_path, fingerprint, self.resume
         )
         # Failure records are re-attempted, not resumed.
         completed = {
@@ -311,16 +313,12 @@ class SweepExecutor:
                 journal.close()
 
         ordered_failures = [failures[i] for i in sorted(failures)]
-        grid_result = GridSearchResult(
-            entries=[
-                GridSearchEntry(setting=setting, result=results[index])
-                for index, setting in enumerate(settings)
-                if index in results
-            ],
-            failures=list(ordered_failures),
-        )
         return SweepReport(
-            grid_result=grid_result,
+            grid_result=GridSearchResult(
+                entries=[GridSearchEntry(setting=settings[index], result=result)
+                         for index, result in sorted(results.items())],
+                failures=list(ordered_failures),
+            ),
             failures=ordered_failures,
             total_folds=len(settings) * search.n_splits,
             executed_folds=executed,

@@ -291,6 +291,21 @@ class TestJournalResume:
         assert resumed.resumed_samples == 4
         assert_reports_equal(full, resumed)
 
+    def test_alien_records_ignored_on_resume(self, tmp_path):
+        """Another record kind and a non-int index are not resumed."""
+        journal = str(tmp_path / "extract.jsonl")
+        full = self.run(self.samples(), journal_path=journal)
+        lines = open(journal).read().splitlines()[:6]
+        lines[5] = json.dumps(dict(json.loads(lines[5]), index="4"))
+        lines.append(json.dumps({"kind": "something-else", "index": 6}))
+        with open(journal, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        resumed = self.run(
+            self.samples(), journal_path=journal, resume=True
+        )
+        assert resumed.resumed_samples == 4
+        assert_reports_equal(full, resumed)
+
     def test_failures_are_resumed_not_retried(self, tmp_path):
         journal = str(tmp_path / "extract.jsonl")
         first = self.run(self.samples(), journal_path=journal)
