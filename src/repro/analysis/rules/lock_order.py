@@ -1,6 +1,7 @@
 """Rule ``lock-order`` — a global lock-acquisition order, no blocking under locks.
 
-The serving stack holds five long-lived locks (engine cache lock,
+The serving stack holds five kinds of long-lived lock (``BoundedLRU``'s,
+behind the engine's caches and the dispatcher's answer tier,
 ``ServeMetrics._lock``, ``FleetDispatcher._lock``, ``CompiledModel``'s
 RLock, ``SimilarityIndex``'s RLock) and they are acquired from HTTP
 handler threads, replica threads, the dispatch loop, and the

@@ -13,7 +13,8 @@ service that metric describes:
   on: continuous batching that coalesces queued requests into shared
   ``GraphBatch`` forwards, over one in-process replica thread
   (``--workers 0``) or N long-lived replica processes (least-loaded
-  routing, SIGKILL+respawn supervision).
+  routing, SIGKILL+respawn supervision), behind one exact answer tier
+  that answers resubmitted listings in the server process.
 * :mod:`repro.serve.rollout` — zero-downtime rollout: shadow a
   candidate registry version on mirrored traffic, judge the canary
   report, promote or roll back atomically.

@@ -15,10 +15,18 @@ Two production concerns shape it:
   the other requests coalesced into the same batch.
 * **A two-tier prediction cache.**  Malware corpora are heavy with
   exact duplicates (repacked submissions, re-scanned files); a
-  sha256-of-text key serves repeats without re-running disassembly or
-  the model.  Failures are cached too — they are deterministic
-  properties of the input, the same philosophy as the extraction
-  journal's replay-not-retry rule.  Behind the exact tier, an opt-in
+  sha256-of-text key (:func:`content_key`) serves repeats without
+  re-running disassembly or the model.  Failures are cached too — they
+  are deterministic properties of the input, the same philosophy as the
+  extraction journal's replay-not-retry rule.  Under a
+  :class:`~repro.serve.fleet.FleetDispatcher` this exact tier is a
+  second level: the dispatcher keeps one tier of its own in the server
+  process, in front of every replica, and a repeat reaches an engine
+  only when that tier has lost it (evicted, or cleared at promotion) or
+  it repeats a request still in flight.  Both tiers are one
+  :class:`BoundedLRU` of :class:`ClassificationResult` entries, served
+  again through :meth:`ClassificationResult.as_cached`.  Behind the
+  exact tier, an opt-in
   **similarity tier** (``similar_threshold``) indexes the
   topology-aware fingerprints of :mod:`repro.similarity`: a request
   that misses the exact cache but whose CFG fingerprint is
@@ -36,7 +44,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +128,18 @@ class ClassificationResult:
         top2 = np.sort(self.probabilities)[-2:]
         return float(top2[1] - top2[0])
 
+    def as_cached(self, name: str, index: int = 0) -> "ClassificationResult":
+        """This stored answer served again, to request ``name``.
+
+        The label, probabilities and ``similar`` flags stay as stored; a
+        stored failure comes back under the new name and batch position.
+        """
+        failure = self.failure
+        if failure is not None:
+            failure = dataclasses.replace(failure, name=name, index=index)
+        return dataclasses.replace(self, name=name, cached=True,
+                                   failure=failure)
+
     def describe(self) -> str:
         if self.failure is not None:
             return (f"{self.name}: FAILED [{self.failure.kind.value}] "
@@ -134,10 +154,50 @@ class ClassificationResult:
                 f"(confidence {self.confidence:.3f}){suffix}")
 
 
-#: Cache entry: ("ok", family, label, probabilities) or
-#: ("similar", family, label, probabilities, similarity) or
-#: ("fail", kind_value, detail).
-_CacheEntry = Tuple
+def content_key(text: str) -> str:
+    """The exact tiers' key for a listing: the sha256 of its text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class BoundedLRU:
+    """A thread-safe map that keeps its ``bound`` most recently used keys.
+
+    A bound below one keeps nothing: every ``get`` misses and ``put``
+    is a no-op.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Any:
+        """The value stored under ``key`` (now the most recent), or ``None``."""
+        if self.bound < 1:
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` as the most recent entry, evicting the oldest."""
+        if self.bound < 1:
+            return
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.bound:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def info(self) -> Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._entries), "bound": self.bound}
 
 
 class InferenceEngine:
@@ -230,8 +290,7 @@ class InferenceEngine:
         self.fault_plan = fault_plan
         self.infer_dtype = infer_dtype
         self._spec = resolve_worker("text")
-        self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
-        self._cache_lock = threading.Lock()
+        self._cache = BoundedLRU(cache_size)
         # Second cache tier: near-duplicate fingerprint lookup.  Bounded
         # by cache_size like the exact tier, and off entirely when
         # result caching is disabled (cache_size=0): an engine asked not
@@ -262,10 +321,9 @@ class InferenceEngine:
         # collator and its identity-keyed memo hits.  Kept independent
         # of the prediction cache so cache_size=0 (no result caching)
         # still reuses merged operators.
-        self._scaled: "OrderedDict[str, ACFG]" = OrderedDict()
+        self._scaled = BoundedLRU(DEFAULT_CACHE_SIZE)
         #: Tape and collate-memo totals as of the last drain_metrics().
         self._reported: Dict[str, int] = {}
-        self._scaled_bound = DEFAULT_CACHE_SIZE
 
     # -- constructors over the registry -------------------------------
 
@@ -314,11 +372,11 @@ class InferenceEngine:
         signatures: Dict[str, np.ndarray] = {}  # key -> minhash signature
 
         for index, (name, text) in enumerate(samples):
-            key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            entry = self._cache_get(key)
+            key = content_key(text)
+            entry = self._cache.get(key)
             if entry is not None:
                 self.metrics.observe_cache_tier("exact")
-                results[index] = self._from_cache(name, index, entry)
+                results[index] = entry.as_cached(name, index)
                 self._count(results[index])
                 continue
             if key in in_flight:
@@ -355,16 +413,15 @@ class InferenceEngine:
                     # prediction, flagged.  The flagged entry also goes
                     # into the exact cache so repeats of this exact
                     # variant keep the flag.
-                    _, family, label, probabilities = match.payload
-                    entry = (
-                        "similar", family, label, probabilities,
-                        match.similarity,
+                    entry = dataclasses.replace(
+                        match.payload, similar=True,
+                        similarity=match.similarity,
                     )
-                    self._cache_put(key, entry)
+                    self._cache.put(key, entry)
                     self.metrics.observe_cache_tier(
                         "similar", match.similarity
                     )
-                    results[index] = self._from_cache(name, index, entry)
+                    results[index] = entry.as_cached(name, index)
                     self._count(results[index])
                     continue
                 self.metrics.observe_cache_tier("miss")
@@ -374,11 +431,16 @@ class InferenceEngine:
                 pending.append((index, key, payload[0]))
             else:
                 self.metrics.observe_cache_tier("miss")
-                entry = ("fail", payload[0], payload[1])
-                self._cache_put(key, entry)
-                results[index] = self._from_cache(
-                    name, index, entry, cached=False
+                results[index] = ClassificationResult(
+                    name=name,
+                    failure=ExtractionFailure(
+                        name=name,
+                        kind=FailureKind(payload[0]),
+                        detail=payload[1],
+                        index=index,
+                    ),
                 )
+                self._cache.put(key, results[index])
                 self._count(results[index])
 
         if pending:
@@ -391,24 +453,26 @@ class InferenceEngine:
             )
             for (index, key, _), row in zip(pending, probabilities):
                 label = int(row.argmax())
-                entry = ("ok", self.family_names[label], label, row.copy())
-                self._cache_put(key, entry)
+                name = samples[index][0]
+                results[index] = ClassificationResult(
+                    name=name,
+                    family=self.family_names[label],
+                    label=label,
+                    probabilities=row,
+                )
+                # The stored entry keeps its own copy of the row, apart
+                # from the array handed to this request.
+                entry = dataclasses.replace(
+                    results[index], probabilities=row.copy()
+                )
+                self._cache.put(key, entry)
                 if self._similarity is not None and key in signatures:
                     # Only fresh successful predictions feed the
                     # similarity tier; failures never generalize.
                     self._similarity.insert(key, signatures[key], entry)
-                name = samples[index][0]
-                results[index] = ClassificationResult(
-                    name=name,
-                    family=entry[1],
-                    label=label,
-                    probabilities=row,
-                )
                 self._count(results[index])
                 for dup_index, dup_name in followers.pop(key, ()):
-                    results[dup_index] = self._from_cache(
-                        dup_name, dup_index, entry
-                    )
+                    results[dup_index] = entry.as_cached(dup_name, dup_index)
                     self._count(results[dup_index])
 
         return results  # type: ignore[return-value] — every slot is filled
@@ -488,18 +552,14 @@ class InferenceEngine:
         missing: List[Tuple[int, str, ACFG]] = []
         for key, acfg in keyed_acfgs:
             hit = self._scaled.get(key)
-            if hit is not None:
-                self._scaled.move_to_end(key)
-            else:
+            if hit is None:
                 missing.append((len(out), key, acfg))
             out.append(hit)
         if missing:
             fresh = self.magic.scaler.transform([acfg for _, _, acfg in missing])
             for (position, key, _), scaled in zip(missing, fresh):
                 out[position] = scaled
-                self._scaled[key] = scaled
-            while len(self._scaled) > self._scaled_bound:
-                self._scaled.popitem(last=False)
+                self._scaled.put(key, scaled)
         return out  # type: ignore[return-value] — every slot is filled
 
     def drain_metrics(self) -> Observations:
@@ -539,68 +599,12 @@ class InferenceEngine:
             "entries": len(self._collator),
         }
 
-    def _from_cache(
-        self, name: str, index: int, entry: _CacheEntry, cached: bool = True
-    ) -> ClassificationResult:
-        if entry[0] == "ok":
-            _, family, label, probabilities = entry
-            return ClassificationResult(
-                name=name,
-                family=family,
-                label=label,
-                probabilities=probabilities,
-                cached=cached,
-            )
-        if entry[0] == "similar":
-            _, family, label, probabilities, similarity = entry
-            return ClassificationResult(
-                name=name,
-                family=family,
-                label=label,
-                probabilities=probabilities,
-                cached=cached,
-                similar=True,
-                similarity=similarity,
-            )
-        _, kind_value, detail = entry
-        return ClassificationResult(
-            name=name,
-            cached=cached,
-            failure=ExtractionFailure(
-                name=name,
-                kind=FailureKind(kind_value),
-                detail=detail,
-                index=index,
-            ),
-        )
-
     def _count(self, result: ClassificationResult) -> None:
         kind = result.failure.kind.value if result.failure else None
         self.metrics.observe_request(result.ok, kind)
 
-    def _cache_get(self, key: str) -> Optional[_CacheEntry]:
-        if self.cache_size == 0:
-            return None
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._cache.move_to_end(key)
-            return entry
-
-    def _cache_put(self, key: str, entry: _CacheEntry) -> None:
-        if self.cache_size == 0:
-            return
-        with self._cache_lock:
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
     def cache_info(self) -> Dict:
-        with self._cache_lock:
-            info: Dict = {
-                "entries": len(self._cache), "bound": self.cache_size,
-            }
+        info: Dict = self._cache.info()
         if self._similarity is not None:
             info["similarity"] = self._similarity.info()
         return info

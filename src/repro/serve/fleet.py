@@ -24,6 +24,20 @@ next batch: requests coalesce under load, and a lone request never
 waits for company.  Ties between idle workers break toward the
 least-served replica.
 
+A resubmitted listing need not reach a replica.  ``submit`` hashes
+the text on the caller's thread (:func:`~repro.serve.engine.content_key`)
+and looks it up in one answer tier kept in the server process, a
+:class:`~repro.serve.engine.BoundedLRU` bounded by ``cache_size`` (the
+engine's, in-process): a hit is returned at once with ``cached=True``
+and the request's own name, without queueing, waking the dispatch
+thread or crossing a pipe.  The tier stores only what a primary replica
+answered — its predictions, ``similar`` answers and engine failures
+(``parse`` / ``oversize`` / ``unexpected``), never a ``crash`` /
+``timeout`` the dispatcher decided, a batch whose handler raised, or a
+shadow's or retiring replica's answer — and promotion clears it, so no
+answer of the old version is served from it afterwards.  Each
+replica's engine keeps its own exact tier behind this one.
+
 Failure semantics
 -----------------
 Supervision is :class:`~repro.workers.request.RequestWorker`'s, the
@@ -49,8 +63,11 @@ The dispatcher also hosts the zero-downtime rollout protocol: candidate
 workers run beside the primaries under the ``shadow`` role, a fraction
 of successful live traffic is mirrored to them (results never returned
 to clients), and the accumulated canary report promotes or rolls back
-atomically under the fleet lock.  See :mod:`repro.serve.rollout`.
-Rollout needs registry replicas, so the in-process dispatcher refuses it.
+atomically under the fleet lock.  Only answers a primary computed are
+mirrored: a hit in the answer tier takes microseconds, and mirroring it
+would skew the canary's shadow/primary latency ratio.  See
+:mod:`repro.serve.rollout`.  Rollout needs registry replicas, so the
+in-process dispatcher refuses it.
 """
 
 from __future__ import annotations
@@ -66,7 +83,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.exceptions import FleetError, RolloutError, ServeError, WorkerStartupError
 from repro.features.pipeline import ExtractionFailure, FailureKind
-from repro.serve.engine import DEFAULT_CACHE_SIZE, ClassificationResult, InferenceEngine
+from repro.serve.engine import (
+    DEFAULT_CACHE_SIZE,
+    BoundedLRU,
+    ClassificationResult,
+    InferenceEngine,
+    content_key,
+)
 from repro.serve.metrics import Observations, ServeMetrics
 from repro.serve.registry import read_manifest, resolve_version
 from repro.serve.rollout import SHADOWING, RolloutConfig, RolloutController
@@ -164,13 +187,16 @@ IN_PROCESS_ENTRYPOINT = "repro.serve.fleet:_InferenceHandler"
 class _FleetRequest:
     """One queued classification request (live or shadow mirror copy)."""
 
-    __slots__ = ("name", "text", "event", "result", "error", "attempts",
-                 "sent_at", "primary_family", "primary_latency")
+    __slots__ = ("name", "text", "key", "event", "result", "error",
+                 "attempts", "sent_at", "primary_family", "primary_latency")
 
     def __init__(self, name: str, text: str,
-                 event: Optional[threading.Event]) -> None:
+                 event: Optional[threading.Event],
+                 key: Optional[str] = None) -> None:
         self.name = name
         self.text = text
+        #: The answer tier's key (``None`` when the tier is off).
+        self.key = key
         #: ``None`` marks a shadow mirror copy: no client is waiting.
         self.event = event
         self.result: Optional[ClassificationResult] = None
@@ -257,6 +283,8 @@ class FleetDispatcher:
     max_vertices, cache_size, fault_plan:
         Forwarded into each worker's :class:`InferenceEngine`
         (``fault_plan`` exists for tests: deterministic hangs/crashes).
+        ``cache_size`` also bounds the dispatcher's answer tier (``0``
+        turns it off); in-process, the engine's ``cache_size`` does.
     similar_threshold, fingerprint_iterations:
         Per-replica similarity cache tier configuration, forwarded into
         each worker's :class:`InferenceEngine` (``similar_threshold
@@ -319,6 +347,7 @@ class FleetDispatcher:
             )
         self._engine = engine
         if engine is not None:
+            cache_size = engine.cache_size
             info = engine.model_info
             self.root: Optional[str] = None
             self.name = info.name if info is not None else "in-process"
@@ -347,6 +376,8 @@ class FleetDispatcher:
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._lock = threading.Lock()
         self._queue: Deque[_FleetRequest] = deque()
+        #: Answers primary replicas gave, by content key.
+        self._answers = BoundedLRU(cache_size)
         self._shadow_queue: Deque[_FleetRequest] = deque()
         self._replicas: List[_Replica] = []
         self._rollout: Optional[RolloutController] = None
@@ -520,11 +551,14 @@ class FleetDispatcher:
     ) -> ClassificationResult:
         """Classify ``text``; blocks until a replica answers.
 
+        A listing a primary replica already answered is answered from
+        the answer tier at once, ``cached`` and under ``name``.
+
         Raises :class:`~repro.exceptions.ServeError` when the fleet is
         not accepting work, has no live replicas, is stopped with the
         request unfinished, or the request times out.
         """
-        request = _FleetRequest(name=name, text=text, event=threading.Event())
+        key = content_key(text) if self._answers.bound > 0 else None
         with self._lock:
             if not self._running or not self._accepting:
                 raise ServeError(
@@ -535,7 +569,17 @@ class FleetDispatcher:
                 raise ServeError(
                     "every fleet worker has failed; restart the service"
                 )
-            self._queue.append(request)
+            stored = self._answers.get(key)
+            if stored is None:
+                request = _FleetRequest(name=name, text=text,
+                                        event=threading.Event(), key=key)
+                self._queue.append(request)
+        if stored is not None:
+            self.metrics.observe_cache_tier("exact")
+            self.metrics.observe_request(
+                stored.ok, stored.failure.kind.value if stored.failure else None
+            )
+            return stored.as_cached(name)
         self._wake()
         if not request.event.wait(timeout):
             with self._lock:
@@ -575,6 +619,7 @@ class FleetDispatcher:
             "queue_depth": len(self._queue),
             "shadow_queue_depth": len(self._shadow_queue),
             "workers": [replica.snapshot() for replica in self._replicas],
+            "answer_tier": self._answers.info(),
             "loop_faults": self._loop_faults,
             "loop_fault_detail": self._loop_fault_detail,
             "rollout": (self._rollout.status()
@@ -686,6 +731,9 @@ class FleetDispatcher:
             elif replica.role == "shadow":
                 replica.role = "primary"
         self._shadow_queue.clear()  # repro: allow[lock-discipline] — _locked helper, caller holds self._lock
+        # Answers of the old version, those still in flight on the
+        # retiring replicas included, are never served again.
+        self._answers.clear()
         self.version = self._rollout.config.version
         self.family_names = list(self._rollout.candidate_families)
         self._rollout.mark_promoted()
@@ -845,11 +893,15 @@ class FleetDispatcher:
         if replica.role != "shadow":
             # A shadow's observations are the candidate's, like its results.
             self.metrics.merge(observations)
+        # A retiring replica answers for the version promotion replaced.
+        store = replica.role == "primary"
         for request, result in zip(batch, results):
             latency = now - request.sent_at
             if request.is_shadow:
                 self._record_shadow_locked(request, result, latency)
             else:
+                if store:
+                    self._answers.put(request.key, result)
                 request.result = result
                 if request.event is not None:
                     request.event.set()

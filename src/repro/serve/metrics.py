@@ -6,8 +6,9 @@ inference engine records request outcomes, cache tiers and the
 :class:`ServeMetrics` and ships them with each batch's results
 (:meth:`ServeMetrics.drain`), with the growth of its tape and
 collate-memo counters; the dispatcher merges them into the
-service-wide instance, where it also records batch sizes and the
-failures it decides itself (crash, timeout), and the HTTP front end
+service-wide instance, where it also records batch sizes, the
+failures it decides itself (crash, timeout) and the requests its answer
+tier answers (an ``exact`` hit and an outcome each), and the HTTP front end
 records the ``request`` stage.  ``snapshot()`` returns a plain-JSON
 view — what ``/metrics`` serves — so operators can watch coalescing
 behaviour (the batch-size histogram) and the per-stage latency

@@ -1,11 +1,16 @@
 """InferenceEngine tests: preprocessing parity, cache, fault isolation."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ServeError
 from repro.features.pipeline import FailureKind
 from repro.serve import InferenceEngine, load
+from repro.serve.engine import BoundedLRU
 from repro.testing.faults import FaultPlan
 
 from tests.serve.conftest import MODEL_NAME
@@ -122,6 +127,48 @@ class TestPredictionCache:
         engine.classify_text(text, name=name)
         assert not engine.classify_text(text, name=name).cached
         assert engine.cache_info() == {"entries": 0, "bound": 0}
+
+
+class TestBoundedLRU:
+    def test_a_get_saves_the_key_from_eviction(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1
+        lru.put("c", 3)
+        assert (lru.get("a"), lru.get("b"), lru.get("c")) == (1, None, 3)
+        assert lru.info() == {"entries": 2, "bound": 2}
+
+    def test_shared_by_threads_it_keeps_its_bound_and_values(self):
+        lru = BoundedLRU(16)
+        faults = []
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(3000):
+                    key = rng.randrange(64)
+                    value = lru.get(key)
+                    if value not in (None, key * 7):
+                        faults.append((key, value))
+                    lru.put(key, key * 7)
+            except Exception as exc:  # repro: allow[broad-except] — a thread's fault is the finding
+                faults.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not faults
+        assert lru.info() == {"entries": 16, "bound": 16}
 
 
 class TestFaultIsolation:

@@ -12,10 +12,12 @@ import pytest
 from repro.cfg import build_cfg_from_text
 from repro.exceptions import FleetError, ServeError, WorkerStartupError
 from repro.serve import FleetDispatcher, InferenceEngine, build_server
+from repro.serve.engine import DEFAULT_CACHE_SIZE
 from repro.testing.faults import FaultPlan
 
 from tests.serve.conftest import MODEL_NAME
 from tests.serve.test_http import request
+from tests.serve.test_similarity_tier import _sample_pair
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,27 @@ class TestSupervision:
             # Killed at the deadline on the first try and on the retry.
             assert workers[0]["respawns"] >= 2
 
+    def test_a_listing_that_blew_the_deadline_twice_goes_to_a_replica_again(
+        self, registry_root, listing_samples
+    ):
+        plan = FaultPlan.build(hang_on=[0], hang_seconds=3600.0)
+        dispatcher = FleetDispatcher(
+            registry_root, MODEL_NAME, num_workers=1,
+            batch_timeout=1.0, fault_plan=plan,
+        )
+        name, text = listing_samples[0]
+        with dispatcher:
+            first = dispatcher.submit(text, name=name, timeout=30.0)
+            respawns = dispatcher.fleet_snapshot()["workers"][0]["respawns"]
+            again = dispatcher.submit(text, name=name, timeout=30.0)
+            snapshot = dispatcher.fleet_snapshot()
+        assert first.failure.kind.value == "timeout"
+        # The dispatcher's own verdict is not an answer to remember: the
+        # resubmit was killed at the deadline twice more.
+        assert again.failure.kind.value == "timeout" and not again.cached
+        assert snapshot["workers"][0]["respawns"] >= respawns + 2
+        assert snapshot["answer_tier"]["entries"] == 0
+
     def test_startup_failure_is_loud(self, registry_root):
         dispatcher = FleetDispatcher(
             registry_root, MODEL_NAME, num_workers=1,
@@ -379,13 +402,19 @@ class TestMetricsParity:
             {"name": name, "asm": text},  # exact repeat
             {"name": "junk", "asm": "not a listing at all"},  # malformed
         ]
+        statuses, served = [], []
         with serving(dispatcher) as server:
-            statuses = [
-                request(server, "POST", "/classify", payload=body)[0]
-                for body in bodies
-            ]
+            for body in bodies:
+                statuses.append(
+                    request(server, "POST", "/classify", payload=body)[0]
+                )
+                served.append([worker["served"] for worker in
+                               dispatcher.fleet_snapshot()["workers"]])
             _, metrics = request(server, "GET", "/metrics")
         assert statuses == [200, 200, 422]
+        # The dispatcher answers the repeat: no replica serves it.
+        assert served[1] == served[0]
+        assert sum(served[-1]) == 2
         return metrics
 
     def test_same_keys_and_single_counting_at_zero_and_two_workers(
@@ -405,7 +434,7 @@ class TestMetricsParity:
             listing_samples[0],
         )
         for section in ("requests", "cache", "batches", "latency_ms",
-                        "tape", "collate"):
+                        "tape", "collate", "fleet"):
             assert set(in_process[section]) == set(fleet[section]), section
         assert set(fleet["tape"]) == {"captures", "replays"}
         assert set(fleet["collate"]) == {"hits", "misses"}
@@ -418,9 +447,14 @@ class TestMetricsParity:
             cache = metrics["cache"]
             assert (cache["exact_hits"] + cache["similar_hits"]
                     + cache["misses"]) == 3
-            assert metrics["latency_ms"]["extract"]["count"] >= 2
-        # One replica holds the cache the repeat hits.
-        assert in_process["cache"]["exact_hits"] == 1
+            assert metrics["latency_ms"]["extract"]["count"] == 2
+            # One answer tier in front of the replicas holds the
+            # repeat's answer, whatever the replicas are.
+            assert metrics["cache"]["exact_hits"] == 1
+            # The listing's answer and the parse failure.
+            assert metrics["fleet"]["answer_tier"] == {
+                "entries": 2, "bound": DEFAULT_CACHE_SIZE,
+            }
 
     def test_distinct_sizes_capture_once_then_replay(
         self, registry_root, listing_samples
@@ -444,3 +478,84 @@ class TestMetricsParity:
             _, metrics = request(server, "GET", "/metrics")
         assert metrics["tape"] == {"captures": 1, "replays": k - 1}
         assert metrics["collate"]["misses"] == k
+
+
+class TestAnswerTier:
+    """The dispatcher answers a listing a primary replica already answered."""
+
+    @staticmethod
+    def _dispatcher(registry_root, workers, **engine_kwargs):
+        if workers:
+            return FleetDispatcher(registry_root, MODEL_NAME,
+                                   num_workers=workers, **engine_kwargs)
+        return FleetDispatcher.in_process(
+            InferenceEngine.from_registry(registry_root, MODEL_NAME,
+                                          **engine_kwargs)
+        )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_hits_repeat_the_replica_answer_under_the_new_name(
+        self, registry_root, listing_samples, workers
+    ):
+        name, text = listing_samples[0]
+        junk = "not a listing at all"
+        with self._dispatcher(registry_root, workers) as dispatcher:
+            first = dispatcher.submit(text, name=name, timeout=60.0)
+            bad = dispatcher.submit(junk, name="junk", timeout=60.0)
+            served = [worker["served"] for worker in
+                      dispatcher.fleet_snapshot()["workers"]]
+            again = dispatcher.submit(text, name="again", timeout=60.0)
+            bad_again = dispatcher.submit(junk, name="junk-again",
+                                          timeout=60.0)
+            assert [worker["served"] for worker in
+                    dispatcher.fleet_snapshot()["workers"]] == served
+        assert first.ok and not first.cached
+        assert again.cached and again.name == "again"
+        assert ((again.family, again.label, again.similar, again.similarity)
+                == (first.family, first.label, first.similar,
+                    first.similarity))
+        assert again.probabilities.tobytes() == first.probabilities.tobytes()
+        assert not bad.cached and bad.failure.kind.value == "parse"
+        assert bad_again.cached and bad_again.name == "junk-again"
+        assert bad_again.failure.name == "junk-again"
+        assert ((bad_again.failure.kind, bad_again.failure.detail)
+                == (bad.failure.kind, bad.failure.detail))
+
+    def test_a_similar_answer_keeps_its_flags(self, registry_root):
+        base_text, variant_text = _sample_pair()
+        with self._dispatcher(registry_root, 0,
+                              similar_threshold=0.45) as dispatcher:
+            dispatcher.submit(base_text, name="base")
+            first = dispatcher.submit(variant_text, name="variant")
+            again = dispatcher.submit(variant_text, name="variant-again")
+        assert first.similar and again.similar and again.cached
+        assert again.similarity == first.similarity
+        assert again.probabilities.tobytes() == first.probabilities.tobytes()
+
+    def test_cache_size_zero_turns_the_tier_off(self, registry_root,
+                                                listing_samples):
+        name, text = listing_samples[0]
+        with self._dispatcher(registry_root, 0, cache_size=0) as dispatcher:
+            dispatcher.submit(text, name=name)
+            again = dispatcher.submit(text, name=name)
+            snapshot = dispatcher.fleet_snapshot()
+        assert not again.cached
+        assert snapshot["answer_tier"] == {"entries": 0, "bound": 0}
+        assert snapshot["workers"][0]["served"] == 2
+
+    def test_a_handler_raise_is_not_stored(self, registry_root,
+                                           listing_samples, monkeypatch):
+        name, text = listing_samples[0]
+        engine = InferenceEngine.from_registry(registry_root, MODEL_NAME)
+
+        def broken(samples):
+            raise RuntimeError("engine bug")
+
+        with FleetDispatcher.in_process(engine) as dispatcher:
+            monkeypatch.setattr(engine, "classify_texts", broken)
+            failed = dispatcher.submit(text, name=name)
+            monkeypatch.undo()
+            healed = dispatcher.submit(text, name=name)
+        assert failed.failure.kind.value == "unexpected"
+        assert "engine bug" in failed.failure.detail
+        assert healed.ok and not healed.cached

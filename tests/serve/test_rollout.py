@@ -17,6 +17,7 @@ from repro.serve.rollout import (
     RolloutController,
     ShadowSampler,
 )
+from repro.testing.faults import FaultPlan
 
 from tests.serve.conftest import MODEL_NAME
 
@@ -286,3 +287,88 @@ class TestFleetRollout:
             rolled_back = dispatcher.rollback()
             assert rolled_back["state"] == ROLLED_BACK
             assert dispatcher.version == "v1"
+
+
+def _shadowing(dispatcher, version):
+    """Start a rollout to ``version`` that never decides on its own."""
+    dispatcher.start_rollout(RolloutConfig(
+        version=version, shadow_fraction=1.0, min_samples=10_000,
+        max_latency_ratio=1000.0,
+    ))
+
+
+class TestAnswerTierAcrossRollout:
+    """The dispatcher's answer tier serves only the primary version."""
+
+    def test_after_promotion_a_resubmit_gets_the_new_answer(
+        self, rollout_registry, listing_samples
+    ):
+        dispatcher = FleetDispatcher(
+            rollout_registry, MODEL_NAME, version="v1", num_workers=1,
+        )
+        name, text = listing_samples[0]
+        with dispatcher:
+            old = dispatcher.submit(text, name=name, timeout=60.0)
+            assert dispatcher.submit(text, name=name, timeout=60.0).cached
+            _shadowing(dispatcher, "v3")
+            dispatcher.promote()
+            assert dispatcher.fleet_snapshot()["answer_tier"]["entries"] == 0
+            new = dispatcher.submit(text, name=name, timeout=60.0)
+            again = dispatcher.submit(text, name=name, timeout=60.0)
+        # v3 has v1's weights under a rotated family table.
+        assert not new.cached and new.label == old.label
+        assert new.family != old.family
+        assert again.cached and again.family == new.family
+
+    def test_an_answer_a_retiring_replica_delivers_is_not_stored(
+        self, rollout_registry, listing_samples
+    ):
+        # Every batch's first request hangs 2 s, then fails.
+        plan = FaultPlan.build(hang_on=[0], hang_seconds=2.0)
+        dispatcher = FleetDispatcher(
+            rollout_registry, MODEL_NAME, version="v1", num_workers=1,
+            fault_plan=plan,
+        )
+        name, text = listing_samples[0]
+        late = []
+        with dispatcher:
+            _shadowing(dispatcher, "v2")
+            waiter = threading.Thread(target=lambda: late.append(
+                dispatcher.submit(text, name=name, timeout=60.0)
+            ))
+            waiter.start()
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and not any(
+                worker["busy"] and worker["role"] == "primary"
+                for worker in dispatcher.fleet_snapshot()["workers"]
+            ):
+                time.sleep(0.01)
+            dispatcher.promote()  # the v1 replica retires mid-batch
+            waiter.join(timeout=30.0)
+            stored = dispatcher.fleet_snapshot()["answer_tier"]["entries"]
+            again = dispatcher.submit(text, name=name, timeout=60.0)
+            snapshot = dispatcher.fleet_snapshot()
+        (answer,) = late
+        assert answer.failure.kind.value == "unexpected"
+        assert "hang" in answer.failure.detail
+        assert stored == 0
+        # The resubmit went to the v2 primary, which is stored.
+        assert not again.cached
+        assert snapshot["answer_tier"]["entries"] == 1
+
+    def test_tier_hits_are_not_mirrored(self, rollout_registry,
+                                        listing_samples):
+        dispatcher = FleetDispatcher(
+            rollout_registry, MODEL_NAME, version="v1", num_workers=1,
+        )
+        name, text = listing_samples[0]
+        with dispatcher:
+            _shadowing(dispatcher, "v2")
+            dispatcher.submit(text, name=name, timeout=60.0)
+            mirrored = dispatcher.rollout_status()["report"]["mirrored"]
+            hits = [dispatcher.submit(text, name=f"{name}-{i}", timeout=60.0)
+                    for i in range(5)]
+            status = dispatcher.rollout_status()
+        assert mirrored == 1
+        assert all(hit.cached for hit in hits)
+        assert status["report"]["mirrored"] == mirrored
