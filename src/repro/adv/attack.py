@@ -23,8 +23,11 @@ Two entry points:
   the projected attack, the standard trick for keeping the inner
   maximization differentiable.
 
-Both always run the eager autograd path — compiled tape replay has no
-input-gradient channel, so attack steps never touch it.
+Both always run their gradient steps on the eager autograd path —
+compiled tape replay has no input-gradient channel.  The evaluation
+attack's gradient-free probabilities (clean, last iterate, projected
+result) replay the model's cached inference tape through
+``Trainer.predict_proba``.
 """
 
 from __future__ import annotations
@@ -217,6 +220,21 @@ class FeatureSpaceAttack:
         self.scaler = scaler
         self.config = config if config is not None else AttackConfig()
 
+    def _probabilities(self, scaled: Sequence[ACFG]) -> np.ndarray:
+        """Class probabilities of one batch of scaled graphs.
+
+        The model's cached inference tape replays them
+        (``Trainer.predict_proba``), in one batch as the gradient steps
+        see them; the model's train/eval mode is restored.
+        """
+        from repro.train.trainer import Trainer  # trainer imports this module
+
+        was_training = self.model.training
+        try:
+            return Trainer.predict_proba(self.model, scaled, batch_size=len(scaled))
+        finally:
+            self.model.train(was_training)
+
     def attack(self, acfgs: Sequence[ACFG]) -> AttackOutcome:
         """Attack raw labelled ACFGs; returns validator-clean examples."""
         if not acfgs:
@@ -256,14 +274,7 @@ class FeatureSpaceAttack:
             current.append(x)
         current = self._project_all(current, scaled, origin, mask, raw_bounds)
 
-        clean_probs = self.model.predict_proba(
-            GraphBatch(
-                scaled,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        clean_probs = self._probabilities(scaled)
         flipped_at: List[Optional[np.ndarray]] = [None] * len(acfgs)
         step_size = config.resolved_step_size
         for _ in range(config.steps):
@@ -293,14 +304,7 @@ class FeatureSpaceAttack:
         final_eval = [
             graph.replace(attributes=x) for graph, x in zip(scaled, current)
         ]
-        final_probs = self.model.predict_proba(
-            GraphBatch(
-                final_eval,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        final_probs = self._probabilities(final_eval)
         self._note_flips(final_probs, labels, current, flipped_at)
         chosen = [
             kept if kept is not None else x
@@ -319,14 +323,7 @@ class FeatureSpaceAttack:
             for acfg, x, bounds in zip(acfgs, chosen, raw_bounds)
         ]
         adv_scaled = self.scaler.transform(adversarial_acfgs)
-        adv_probs = self.model.predict_proba(
-            GraphBatch(
-                adv_scaled,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        adv_probs = self._probabilities(adv_scaled)
 
         clean_margins = _margins(clean_probs, labels)
         adv_margins = _margins(adv_probs, labels)

@@ -47,7 +47,7 @@ from repro.core.dgcnn import ModelConfig
 from repro.core.magic import Magic
 from repro.exceptions import MagicError
 from repro.features.acfg import ACFG
-from repro.train.trainer import TrainingConfig
+from repro.train.trainer import Trainer, TrainingConfig
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +181,13 @@ def cmd_train(args: argparse.Namespace) -> int:
                        learning_rate=3e-3, compiled=args.compiled,
                        seed=args.seed, adversarial=adversarial),
     )
-    report = magic.evaluate(validation.acfgs)
+    if args.compiled:
+        report = magic.evaluate(validation.acfgs)
+    else:  # --no-compiled evaluates eagerly too
+        report = Trainer.evaluate(
+            magic.model, magic.scaler.transform(validation.acfgs),
+            family_names=magic.family_names, compiled=False,
+        )
     print(report.format_table())
     print(f"Best epoch {history.best_epoch} "
           f"(validation loss {history.best_validation_loss:.4f})")
@@ -770,7 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "tape engine (default; bit-exact with eager)")
     p_train.add_argument("--no-compiled", dest="compiled",
                          action="store_false",
-                         help="force the eager per-op training path")
+                         help="force the eager per-op path for training, "
+                              "validation and the final report")
     p_train.add_argument("--adversarial", action="store_true",
                          help="adversarial training: mix each batch with "
                               "an inner-PGD attacked copy (forces the "

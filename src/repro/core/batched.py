@@ -68,7 +68,8 @@ class GraphBatch:
         Sparse CSR ``(N, N)`` block-diagonal propagation operator, where
         ``N`` is the total vertex count of the batch.  Assembled from the
         per-graph cached CSR operators, so only the ``n + |E|`` true
-        non-zeros of each graph are stored.
+        non-zeros of each graph are stored; a one-graph batch shares its
+        graph's cached operator, which must therefore stay read-only.
     attributes:
         Dense ``(N, c)`` stacked attribute matrix.
     boundaries:
@@ -88,8 +89,11 @@ class GraphBatch:
     ) -> None:
         if not acfgs:
             raise ConfigurationError("cannot batch zero graphs")
-        self.propagation = _block_diag_csr(
-            [acfg.operator(normalize_propagation) for acfg in acfgs]
+        operators = [acfg.operator(normalize_propagation) for acfg in acfgs]
+        # One graph needs no merge: its cached operator is shared as is,
+        # and nothing writes into a batch's propagation matrix.
+        self.propagation = (
+            operators[0] if len(operators) == 1 else _block_diag_csr(operators)
         )
         self.attributes = np.concatenate([a.attributes for a in acfgs], axis=0)
         sizes = [a.num_vertices for a in acfgs]

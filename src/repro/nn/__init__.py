@@ -23,7 +23,13 @@ from repro.nn.loss import cross_entropy, nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.pooling import AdaptiveMaxPool2d, MaxPool2d
-from repro.nn.tape import CompiledModel, TapeExecutor, compile_output, program_key
+from repro.nn.tape import (
+    CompiledModel,
+    TapeExecutor,
+    compile_output,
+    inference_tape,
+    program_key,
+)
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
 __all__ = [
@@ -52,6 +58,7 @@ __all__ = [
     "cross_entropy",
     "functional",
     "gather_rows",
+    "inference_tape",
     "nll_loss",
     "pad_rows",
     "stack",

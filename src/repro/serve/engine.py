@@ -49,7 +49,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.magic import Magic
-from repro.exceptions import CompilationError, ServeError
+from repro.exceptions import ServeError
 from repro.features.acfg import ACFG
 from repro.features.pipeline import (
     ExtractionFailure,
@@ -69,13 +69,10 @@ from repro.similarity import (
 )
 from repro.testing.faults import FaultPlan
 from repro.train.batching import BatchCollator
+from repro.train.trainer import Trainer
 
 #: Default bound on the content-hash prediction cache.
 DEFAULT_CACHE_SIZE = 1024
-
-#: Forward chunk size — matches ``Trainer.predict_proba`` so the
-#: compiled path stays bitwise-comparable with ``Magic.predict_proba``.
-_FORWARD_CHUNK = 64
 
 #: Dtypes the serving path accepts for ``infer_dtype``.
 _INFER_DTYPES = ("float64", "float32")
@@ -231,10 +228,11 @@ class InferenceEngine:
         Deterministic fault injection for tests; indices refer to
         positions within one ``classify_texts`` batch.
     compiled:
-        Route GraphBatch-capable models through the :mod:`repro.nn.tape`
-        replay engine (capture once per collated batch shape, replay on
-        repeats).  Float64 replay is bit-exact with the eager path; a
-        model the tape cannot record silently falls back to eager.
+        Route GraphBatch-capable models through the engine's own
+        :mod:`repro.nn.tape` tape (one capture, then lean replays for
+        batches of every shape); ``False`` keeps every forward eager.
+        Float64 replay is bit-exact with the eager path; a model the
+        tape cannot record silently falls back to eager.
     infer_dtype:
         ``"float64"`` (default, bit-exact) or ``"float32"`` (compiled
         replay only; probabilities are cast back to float64 at the
@@ -509,34 +507,22 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Per-family probabilities for ``(content_key, acfg)`` pairs.
 
-        GraphBatch models run through the shared collator (and, when
-        enabled, the compiled tape) in the same 64-graph chunks as
-        ``Magic.predict_proba``, so the float64 output is bitwise
-        identical to the plain path.  Anything else defers to
-        ``Magic.predict_proba`` unchanged.
+        GraphBatch models run ``Trainer.predict_proba`` — the chunk loop
+        of ``Magic.predict_proba`` — over the shared collator and the
+        engine's own tape (or eagerly, with ``compiled=False``), so the
+        float64 output is bitwise identical to the plain path.  A model
+        the tape refuses stays eager for the engine's lifetime: the tape
+        remembers the refusal.
+        Anything else defers to ``Magic.predict_proba`` unchanged.
         """
         if self._collator is None:
             return self.magic.predict_proba([acfg for _, acfg in keyed_acfgs])
-        scaled = self._scaled_acfgs(keyed_acfgs)
-        model = self.magic.model
-        model.train(False)
-        chunks = []
-        for start in range(0, len(scaled), _FORWARD_CHUNK):
-            batch = self._collator(scaled[start : start + _FORWARD_CHUNK])
-            log_probs: Optional[np.ndarray] = None
-            if self._compiled is not None:
-                try:
-                    log_probs = self._compiled.infer(batch)
-                except CompilationError:
-                    self._compiled = None  # permanent eager fallback
-            if log_probs is None:
-                log_probs = model(batch).data
-            if log_probs.dtype != np.float64:
-                # float32 stays inside the tape; probabilities leave the
-                # serving boundary as float64 like every other path.
-                log_probs = log_probs.astype(np.float64)
-            chunks.append(np.exp(log_probs))
-        return np.concatenate(chunks, axis=0)
+        return Trainer.predict_proba(
+            self.magic.model,
+            self._scaled_acfgs(keyed_acfgs),
+            collator=self._collator,
+            compiled=self._compiled if self._compiled is not None else False,
+        )
 
     def _scaled_acfgs(
         self, keyed_acfgs: Sequence[Tuple[str, ACFG]]

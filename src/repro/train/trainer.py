@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.nn.layers import Module
 from repro.nn.loss import nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import Adam
-from repro.nn.tape import CompiledModel
+from repro.nn.tape import CompiledModel, inference_tape
 from repro.train.batching import BatchCollator, iterate_minibatches
 from repro.train.metrics import ClassificationReport, evaluate_predictions
 
@@ -104,10 +104,14 @@ class TrainingConfig:
     ``compiled`` routes GraphBatch-capable models through the
     :mod:`repro.nn.tape` replay engine: the first batch of each mode is
     captured (one eager pass) and every later batch, whatever its shape,
-    replays over one reusable arena.  Replay is bit-exact with the eager
-    float64 path, so losses and final parameters are unchanged; a model
-    the tape cannot compile falls back to eager for the rest of the run
-    with a ``RuntimeWarning``.
+    replays over one reusable arena, the per-epoch validation pass
+    included.  Replay is bit-exact with the eager float64 path, so
+    losses and final parameters are unchanged; a model the tape cannot
+    compile falls back to eager for the rest of the run with a
+    ``RuntimeWarning``.  ``compiled=False`` keeps the whole run eager,
+    validation included.  Predictions after training
+    (:meth:`Trainer.predict_proba` without a ``compiled`` argument)
+    replay the model's own cached float64 tape whatever this setting.
 
     ``adversarial`` switches on adversarial training: every batch is
     perturbed by a short inner PGD attack and the step descends a
@@ -351,8 +355,10 @@ class Trainer:
             history.learning_rates.append(optimizer.lr)
 
             if validation_acfgs:
+                # An eager run validates eagerly too.
                 validation_loss = self.evaluate_loss(
-                    model, validation_acfgs, collator=collator, compiled=compiled
+                    model, validation_acfgs, collator=collator,
+                    compiled=compiled if compiled is not None else False,
                 )
                 history.validation_losses.append(validation_loss)
                 monitored = validation_loss
@@ -414,37 +420,42 @@ class Trainer:
         acfgs: Sequence[ACFG],
         batch_size: int = 64,
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
+        compiled: Union[CompiledModel, None, Literal[False]] = None,
     ) -> np.ndarray:
         """Class probabilities over ``acfgs`` (gradient-free, eval mode).
 
         Chunks are collated into ``GraphBatch`` objects for models that
         accept them; pass a shared ``collator`` to reuse merged operators
         across repeated evaluations (the training loop does this for its
-        per-epoch validation pass).  Pass a ``compiled`` model to replay
-        its eval-mode program instead of rebuilding the op graph per
-        call; float64 replay keeps the output bit-exact.
+        per-epoch validation pass).  Such models replay a compiled tape's
+        lean eval-mode program: ``compiled`` when given, else the float64
+        tape cached for the model (:func:`~repro.nn.tape.inference_tape`),
+        so the first call captures and every later one replays.  float64
+        replay keeps the output bit-exact with eager; a float32 tape's
+        log-probabilities are cast to float64 before ``exp``.
+        ``compiled=False`` runs the eager path, as does a model the tape
+        refuses.
         """
         model.train(False)
         if collator is None:
             collator = _collator_for(model)
-        if collator is None:
-            compiled = None  # raw-ACFG models have no GraphBatch to replay
+        tape: Optional[CompiledModel] = None
+        if collator is not None and compiled is not False:
+            tape = compiled if compiled is not None else inference_tape(model)
         chunks = []
         for start in range(0, len(acfgs), batch_size):
-            batch = list(acfgs[start : start + batch_size])
-            if compiled is not None:
+            chunk = list(acfgs[start : start + batch_size])
+            batch = collator(chunk) if collator is not None else chunk
+            log_probs: Optional[np.ndarray] = None
+            if tape is not None:
                 try:
-                    log_prob_data = compiled.infer(collator(batch))
-                    chunks.append(np.exp(log_prob_data))
-                    continue
+                    log_probs = tape.infer(batch)
                 except CompilationError:
-                    compiled = None
-            log_probs = model(
-                collator(batch) if collator is not None else batch
-            )
-            chunks.append(np.exp(log_probs.data))
-        return np.concatenate(chunks, axis=0)
+                    tape = None
+            if log_probs is None:
+                log_probs = model(batch).data
+            chunks.append(np.exp(log_probs.astype(np.float64, copy=False)))
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
     @classmethod
     def evaluate_loss(
@@ -452,7 +463,7 @@ class Trainer:
         model: Module,
         acfgs: Sequence[ACFG],
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
+        compiled: Union[CompiledModel, None, Literal[False]] = None,
     ) -> float:
         """Mean NLL of the true labels under the model."""
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
@@ -470,13 +481,14 @@ class Trainer:
         acfgs: Sequence[ACFG],
         family_names: Optional[Sequence[str]] = None,
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
+        compiled: Union[CompiledModel, None, Literal[False]] = None,
     ) -> ClassificationReport:
         """Full precision/recall/F1/accuracy/log-loss report.
 
         Pass the trainer's ``last_collator`` (and ``last_compiled``) to
         reuse the validation chunks' memoized ``GraphBatch`` operators
-        and compiled tapes instead of re-collating and re-recording.
+        and compiled tapes instead of re-collating and re-recording;
+        ``compiled`` follows :meth:`predict_proba`.
         """
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
         probabilities = cls.predict_proba(

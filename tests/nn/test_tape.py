@@ -5,7 +5,14 @@ is *bit-exact* with the eager path (forward, loss, and every parameter
 gradient), float32 is an opt-in inference-only mode with a documented
 tolerance, one recorded program per mode and dtype serves batches of
 every shape, and its arena is bounded by the largest batch it has seen.
+Predictions replay one lean float64 tape cached per model, which dies
+with its model and remembers a model it cannot record.
 """
+
+import copy
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +20,11 @@ import pytest
 from repro.core.batched import GraphBatch
 from repro.core.dgcnn import POOLING_TYPES, ModelConfig, build_model
 from repro.exceptions import CompilationError, GradientError
+from repro.nn.layers import Module, Parameter
 from repro.nn.loss import nll_loss
-from repro.nn.tape import CompiledModel, program_key
+from repro.nn.tape import CompiledModel, inference_tape, program_key
+from repro.nn.tensor import Tensor
+from repro.train.batching import collate_graphs
 from repro.train.trainer import Trainer, TrainingConfig
 
 from tests.conftest import acfg_from_dense
@@ -307,3 +317,145 @@ class TestSignatureCache:
         model = build_model(small_config("adaptive"))
         with pytest.raises(GradientError):
             CompiledModel(model).backward(np.zeros((1, NUM_CLASSES)))
+
+
+class UntapeableModel(Module):
+    """A GraphBatch model with a custom op: eager runs it, the tape refuses it."""
+
+    accepts_graph_batch = True
+    normalize_propagation = True
+
+    def __init__(self):
+        super().__init__()
+        self.weight = Parameter(
+            np.linspace(-1.0, 1.0, NUM_ATTRIBUTES * NUM_CLASSES).reshape(
+                NUM_ATTRIBUTES, NUM_CLASSES
+            )
+        )
+        self.calls = 0
+
+    def forward(self, batch):
+        self.calls += 1
+        scores = batch.attributes[batch.boundaries[:-1]] @ self.weight.data
+        log_probs = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+        return Tensor._make(log_probs, (self.weight,), grad_fn=lambda g: (None,))
+
+
+class TestPredictionTape:
+    """Predictions replay one lean float64 tape cached per model."""
+
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_default_predict_proba_captures_once_bit_exact(self, pooling):
+        rng = np.random.default_rng(47)
+        model = build_model(small_config(pooling))
+        sizes = (1, 7, 3, 12, 5, 9)
+        for n in sizes:
+            graph = random_acfg(rng, n)
+            out = Trainer.predict_proba(model, [graph])
+            expected = np.exp(model(collate_graphs([graph])).data)
+            assert np.array_equal(out, expected), n  # repro: allow[float-equality] — bit-exactness is the contract under test
+        stats = inference_tape(model).stats()
+        assert stats["captures"] == 1 and stats["replays"] == len(sizes) - 1
+
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_infer_then_backward_raises(self, pooling):
+        rng = np.random.default_rng(53)
+        model = build_model(small_config(pooling)).eval()
+        compiled = CompiledModel(model)
+        for _ in range(2):  # after the capture, then after a replay
+            out = compiled.infer(random_batch(rng))
+            with pytest.raises(GradientError, match="infer"):
+                compiled.backward(np.zeros_like(out))
+
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_infer_keeps_no_argmaxes(self, pooling):
+        # Adaptive max pooling and SortPooling's Conv1D head's max pool
+        # save argmaxes for a backward; the weighted-vertices head has none.
+        rng = np.random.default_rng(57)
+        model = build_model(small_config(pooling)).eval()
+        lean, full = CompiledModel(model), CompiledModel(model)
+        for batch in [random_batch(rng) for _ in range(3)]:
+            lean.infer(batch)
+            full.forward(batch)
+        lean_bytes, full_bytes = (t.stats()["arena_bytes"] for t in (lean, full))
+        if pooling == "sort_weighted":
+            assert lean_bytes == full_bytes
+        else:
+            assert lean_bytes < full_bytes
+
+    @pytest.mark.parametrize("pooling", POOLING_TYPES)
+    def test_eval_backward_stays_bit_exact_between_lean_replays(self, pooling):
+        # Lean infer replays and eval-mode forward+backward share one
+        # program; the argmaxes a backward reads are back after infer.
+        rng = np.random.default_rng(59)
+        eager_model = build_model(small_config(pooling)).eval()
+        compiled_model = build_model(small_config(pooling)).eval()
+        compiled = CompiledModel(compiled_model)
+        labels = np.array([0, 1, 2, 3])
+        for _ in range(3):
+            lean_batch, batch = random_batch(rng), random_batch(rng)
+            lean = compiled.infer(lean_batch)
+            assert np.array_equal(lean, eager_model(lean_batch).data)  # repro: allow[float-equality] — bit-exactness is the contract under test
+            _, expected = eager_gradients(eager_model, batch, labels)
+            _, actual = compiled_gradients(compiled, compiled_model, batch, labels)
+            for name in expected:
+                assert np.array_equal(actual[name], expected[name]), name  # repro: allow[float-equality] — bit-exactness is the contract under test
+        assert compiled.stats()["programs"] == 1
+
+    def test_cached_tape_dies_with_its_model(self):
+        rng = np.random.default_rng(61)
+        model = build_model(small_config("adaptive"))
+        Trainer.predict_proba(model, [random_acfg(rng, 6), random_acfg(rng, 4)])
+        tape = weakref.ref(inference_tape(model))
+        gc.disable()
+        try:
+            del model
+            # Reference counting alone frees it: no model<->tape cycle.
+            assert tape() is None
+        finally:
+            gc.enable()
+
+    def test_model_stays_copyable_and_picklable(self):
+        rng = np.random.default_rng(67)
+        graphs = [random_acfg(rng, n) for n in (5, 8)]
+        model = build_model(small_config("sort_weighted"))
+        expected = Trainer.predict_proba(model, graphs)
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert np.array_equal(Trainer.predict_proba(clone, graphs), expected)  # repro: allow[float-equality] — bit-exactness is the contract under test
+            assert inference_tape(clone) is not inference_tape(model)
+
+    def test_refused_model_goes_straight_to_eager(self):
+        rng = np.random.default_rng(71)
+        graphs = [random_acfg(rng, n) for n in (4, 6)]
+        model = UntapeableModel()
+        first = Trainer.predict_proba(model, graphs)
+        assert model.calls == 2  # the refused capture, then the eager run
+        tape = inference_tape(model)
+        assert tape.refused is not None
+        assert tape.stats()["captures"] == 0
+        second = Trainer.predict_proba(model, graphs)
+        assert model.calls == 3  # no second capture
+        assert np.array_equal(first, second)  # repro: allow[float-equality] — same eager arithmetic
+        with pytest.raises(CompilationError):
+            tape.infer(collate_graphs(graphs))
+        assert model.calls == 3
+
+    def test_one_graph_batch_leaves_the_cached_operator_unchanged(self):
+        rng = np.random.default_rng(73)
+        graph = random_acfg(rng, 9)
+        operator = graph.operator()
+        before = [operator.data.copy(), operator.indices.copy(), operator.indptr.copy()]
+        model = build_model(small_config("sort_conv1d")).eval()
+        labels = np.array([2])
+        for dtype in ("float64", "float32"):
+            compiled = CompiledModel(model, dtype=dtype)
+            for _ in range(3):  # capture, then replays
+                batch = GraphBatch([graph])
+                assert batch.propagation is operator  # shared, not merged
+                compiled.infer(batch)
+        compiled = CompiledModel(model)
+        for _ in range(3):  # float64 forward+backward reads the transpose too
+            compiled_gradients(compiled, model, GraphBatch([graph]), labels)
+        assert graph.operator() is operator
+        for kept, now in zip(before, (operator.data, operator.indices, operator.indptr)):
+            assert np.array_equal(kept, now)  # repro: allow[float-equality] — untouched storage
