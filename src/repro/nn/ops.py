@@ -793,6 +793,10 @@ def _sort_pool_bwd(g, ins, out, meta, state, need):
     return (grad,)
 
 
+#: Conv map rows a lean ``conv2d_amp`` forward convolves at a time.
+AMP_ROW_BLOCK = 128
+
+
 class _AmpPlan(NamedTuple):
     """Where a batch's graphs and pooling windows sit in the conv map."""
 
@@ -885,26 +889,33 @@ def _conv2d_amp_fwd(ins, out, meta, state):
     for start, end, at in plan.graph_rows:
         image[pw : pw + width, at : at + end - start] = x[start:end].T
     # One column window at a time, so its im2col columns and conv map
-    # stay in cache from the copy to the last read.
+    # stay in cache from the copy to the last read.  Without a backward
+    # to serve, the conv map is only reduced to its column maxima, so it
+    # is built AMP_ROW_BLOCK map rows at a time: the scratch stays the
+    # same size however many rows the batch has.
     windows, starts = plan.window_rows, plan.window_starts
     grid_w = len(plan.col_windows)
     widest = max(w1 - w0 for w0, w1 in plan.col_windows)
-    cols = _scratch(state, "cols", (kh * kw, widest * rows), x.dtype)
-    conv_map = _scratch(state, "conv", (widest, rows, channels), x.dtype)
+    differentiable = _differentiable(state)
+    block = rows if differentiable else min(rows, AMP_ROW_BLOCK)
+    cols_flat = _scratch(state, "cols", (kh * kw * widest * block,), x.dtype)
+    conv_flat = _scratch(state, "conv", (widest * block * channels,), x.dtype)
     col_max = _scratch(state, "col_max", (rows, channels), x.dtype)
     gathered = _scratch(state, "gathered", (windows.size, channels), x.dtype)
     pooled = _scratch(state, "pooled", (grid_w, starts.size, channels), x.dtype)
-    differentiable = _differentiable(state)
     if differentiable:
         best_rows = _saved(state, "best_rows", pooled.shape, np.int64)
         best_cols = _saved(state, "best_cols", pooled.shape, np.int64)
     weight_t = w.reshape(channels, -1).T
     for ow, (w0, w1) in enumerate(plan.col_windows):
-        window_cols = cols[:, : (w1 - w0) * rows]
-        np.copyto(window_cols.reshape(kh, kw, w1 - w0, rows), patches[:, :, w0:w1])
-        conv = conv_map[: w1 - w0]
-        np.matmul(window_cols.T, weight_t, out=conv.reshape(-1, channels))
-        np.maximum.reduce(conv, axis=0, out=col_max)
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            span = (w1 - w0) * (r1 - r0)
+            window_cols = cols_flat[: kh * kw * span].reshape(kh * kw, span)
+            np.copyto(window_cols.reshape(kh, kw, w1 - w0, r1 - r0), patches[:, :, w0:w1, r0:r1])
+            conv = conv_flat[: span * channels].reshape(w1 - w0, r1 - r0, channels)
+            np.matmul(window_cols.T, weight_t, out=conv.reshape(-1, channels))
+            np.maximum.reduce(conv, axis=0, out=col_max[r0:r1])
         np.add(col_max, b, out=col_max)
         np.take(col_max, windows, axis=0, out=gathered)
         np.maximum.reduceat(gathered, starts, axis=0, out=pooled[ow])

@@ -322,6 +322,28 @@ def test_conv2d_amp_pools_nan_like_the_per_graph_pool():
         np.testing.assert_array_equal(fused.data[graph], expected)
 
 
+@pytest.mark.parametrize("block", [1, 2, 5, 64])
+def test_lean_conv2d_amp_convolves_in_row_blocks(monkeypatch, block):
+    # A lean forward builds the conv map a few rows at a time; its
+    # output equals the whole-map forward's bit for bit, and its scratch
+    # stays the same size as the batch grows.
+    monkeypatch.setattr(ops, "AMP_ROW_BLOCK", block)
+    rng = np.random.default_rng(13)
+    weight, bias = rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)
+    op, lean = OPS["conv2d_amp"], Workspace(differentiable=False)
+    scratch = []
+    for bounds in (AMP_BOUNDS, (0, 9), (0, 3, 4), tuple(range(0, 41, 5))):
+        for kind in ("normal", "tied"):
+            x = pooling_inputs(kind, bounds[-1], 5, seed=14)
+            x[x.shape[0] // 2, 1] = np.nan
+            ins, meta = [x, weight, bias], {"grid": (3, 3), "boundaries": bounds}
+            np.testing.assert_array_equal(op.forward(ins, None, meta, lean),
+                                          op.forward(ins, None, meta, {}))
+        scratch.append(lean.storage["conv"].size)
+    assert "best_rows" not in lean.storage
+    assert max(scratch) <= 3 * block * 2  # widest column window x block x channels
+
+
 @pytest.mark.parametrize("kind", ["sort_pool", "conv2d_amp"])
 def test_pooling_head_replays_across_shapes_with_one_workspace(kind):
     # One Workspace serves batches of different shapes, larger and
