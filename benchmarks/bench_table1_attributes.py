@@ -7,7 +7,7 @@ benchmark corpus (the paper reports 5.8 s/sample with IDA Pro in the
 loop; ours is pure parsing + graph work).
 """
 
-from repro.features import ACFG, attribute_names
+from repro.features import ACFG, DEFAULT_ATTRIBUTES
 from repro.datasets import generate_mskcfg_listings
 from repro.cfg import build_cfg_from_text
 
@@ -29,8 +29,8 @@ EXPECTED_ATTRIBUTES = [
 
 
 def test_table1_attribute_extraction(benchmark):
-    names = attribute_names()
-    assert names[:11] == EXPECTED_ATTRIBUTES
+    names = list(DEFAULT_ATTRIBUTES)
+    assert names == EXPECTED_ATTRIBUTES
 
     listings = generate_mskcfg_listings(total=27, seed=0, minimum_per_family=3)
     cfgs = [build_cfg_from_text(text, name=name) for name, text, _ in listings]

@@ -16,7 +16,7 @@ import networkx as nx
 
 from repro.asm import AsmParser
 from repro.cfg import CfgBuilder, load_cfg, save_cfg
-from repro.features import ACFG, attribute_names
+from repro.features import ACFG, DEFAULT_ATTRIBUTES
 
 SAMPLE = """
 .text:00401000 push ebp               ; prologue
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"CFG: {cfg.num_vertices} blocks, {cfg.num_edges} edges\n")
 
     acfg = ACFG.from_cfg(cfg)
-    names = attribute_names()
+    names = DEFAULT_ATTRIBUTES
     for index, block in enumerate(cfg.blocks()):
         mnemonics = " ".join(i.mnemonic for i in block.instructions)
         print(f"block {block.start_address:#x}  [{mnemonics}]")

@@ -40,15 +40,15 @@ import numpy as np
 from repro.core.batched import GraphBatch
 from repro.exceptions import ConfigurationError
 from repro.features.acfg import ACFG
-from repro.features.attributes import attribute_names
+from repro.features.attributes import DEFAULT_ATTRIBUTES
 from repro.features.scaling import AttributeScaler
 from repro.features.validator import CATEGORY_CHANNELS, project_attributes
 from repro.nn.layers import Module
 from repro.nn.loss import nll_loss
 
 #: Channels the attack may move.  ``offspring`` is structural (pinned to
-#: the out-degree by the projector), and custom registered channels have
-#: unknown semantics, so both stay frozen.
+#: the out-degree by the projector), so it stays frozen; the attack
+#: perturbs Table I layouts only.
 MUTABLE_CHANNELS = frozenset({
     "numeric_constants",
     "total_instructions",
@@ -136,14 +136,14 @@ class AttackOutcome:
 
 
 def _mutable_mask(num_channels: int) -> np.ndarray:
-    names = attribute_names()
-    if num_channels != len(names):
+    if num_channels != len(DEFAULT_ATTRIBUTES):
         raise ConfigurationError(
-            f"attack saw {num_channels} attribute channels but the "
-            f"registry defines {len(names)}"
+            f"attack saw {num_channels} attribute channels but perturbs "
+            f"only the {len(DEFAULT_ATTRIBUTES)} of Table I"
         )
     return np.array(
-        [name in MUTABLE_CHANNELS for name in names], dtype=np.float64
+        [name in MUTABLE_CHANNELS for name in DEFAULT_ATTRIBUTES],
+        dtype=np.float64,
     )
 
 

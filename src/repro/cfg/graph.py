@@ -159,11 +159,6 @@ class ControlFlowGraph:
         vertex = self._vertex(block.start_address)
         return int(np.count_nonzero(self.edge_index[0] == vertex))
 
-    def in_degree(self, block: BasicBlock) -> int:
-        """Number of predecessors of ``block``."""
-        vertex = self._vertex(block.start_address)
-        return int(np.count_nonzero(self.edge_index[1] == vertex))
-
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as ``(src_start, dst_start)`` address pairs, sorted."""
         starts = self.starts.tolist()

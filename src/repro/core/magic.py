@@ -24,6 +24,7 @@ from repro.cfg.graph import ControlFlowGraph
 from repro.core.dgcnn import DgcnnBase, ModelConfig, build_model
 from repro.exceptions import ConfigurationError, MagicError
 from repro.features.acfg import ACFG
+from repro.features.attributes import DEFAULT_ATTRIBUTES, check_layout
 from repro.features.scaling import AttributeScaler
 from repro.train.metrics import ClassificationReport
 from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
@@ -50,17 +51,27 @@ class Magic:
     family_names:
         Family label table; ``predict`` returns indices into it and
         ``predict_family`` returns the names.
+    layout:
+        The attribute layout the model reads, one name per channel
+        (:mod:`repro.features.attributes`); saved with the model.
     """
 
     def __init__(
         self,
         model_config: ModelConfig,
         family_names: Sequence[str],
+        layout: Sequence[str] = DEFAULT_ATTRIBUTES,
     ) -> None:
         if len(family_names) != model_config.num_classes:
             raise ConfigurationError(
                 f"{len(family_names)} family names for "
                 f"{model_config.num_classes} classes"
+            )
+        self.layout = check_layout(layout)
+        if len(self.layout) != model_config.num_attributes:
+            raise ConfigurationError(
+                f"a {len(self.layout)}-attribute layout for a model of "
+                f"{model_config.num_attributes} attributes"
             )
         self.model_config = model_config
         self.family_names: List[str] = list(family_names)
@@ -74,11 +85,11 @@ class Magic:
     def acfg_from_asm(self, asm_text: str, name: str = "") -> ACFG:
         """Run the full front end on one assembly listing."""
         cfg = build_cfg_from_text(asm_text, name=name)
-        return ACFG.from_cfg(cfg)
+        return ACFG.from_cfg(cfg, layout=self.layout)
 
     def acfg_from_cfg(self, cfg: ControlFlowGraph) -> ACFG:
         """Extract attributes from a pre-built CFG (YANCFG path)."""
-        return ACFG.from_cfg(cfg)
+        return ACFG.from_cfg(cfg, layout=self.layout)
 
     # ------------------------------------------------------------------
     # training mode
@@ -172,6 +183,7 @@ class Magic:
         )
         meta = {
             "family_names": self.family_names,
+            "layout": list(self.layout),
             "scaler_use_log": self.scaler.use_log,
             "model_config": {
                 **dataclasses.asdict(self.model_config),
@@ -202,7 +214,16 @@ class Magic:
         # batched path is now the only one and parameters are unaffected.
         raw_config.pop("use_batched_propagation", None)
         config = ModelConfig(**raw_config)
-        system = cls(config, meta["family_names"])
+        # An archive saved before layouts were recorded is Table I if it
+        # is 11 wide; the extras of a wider one are unknown.
+        layout = meta.get("layout", DEFAULT_ATTRIBUTES)
+        if "layout" not in meta and config.num_attributes != len(layout):
+            raise MagicError(
+                f"{meta_path} records no attribute \"layout\" for its "
+                f"{config.num_attributes} attributes; only a Table I model "
+                "may leave it out"
+            )
+        system = cls(config, meta["family_names"], layout)
 
         with np.load(state_path) as archive:
             arrays: Dict[str, np.ndarray] = {key: archive[key] for key in archive.files}

@@ -3,17 +3,8 @@
 from repro.features.acfg import ACFG
 from repro.features.attributes import (
     DEFAULT_ATTRIBUTES,
-    attribute_names,
-    extract_attribute_matrix,
-    extract_block_attributes,
-    num_attributes,
-    register_attribute,
-    unregister_attribute,
-)
-from repro.features.extra_attributes import (
     EXTENDED_ATTRIBUTES,
-    disable_extended_attributes,
-    enable_extended_attributes,
+    extract_attribute_matrix,
 )
 from repro.features.pipeline import (
     AcfgPipeline,
@@ -32,12 +23,5 @@ __all__ = [
     "ExtractionFailure",
     "ExtractionReport",
     "FailureKind",
-    "disable_extended_attributes",
-    "enable_extended_attributes",
-    "attribute_names",
     "extract_attribute_matrix",
-    "extract_block_attributes",
-    "num_attributes",
-    "register_attribute",
-    "unregister_attribute",
 ]

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import FeatureExtractionError
-from repro.features.attributes import extract_attribute_matrix
+from repro.features.attributes import DEFAULT_ATTRIBUTES, extract_attribute_matrix
 
 
 @dataclasses.dataclass
@@ -155,27 +155,29 @@ class ACFG:
         cls,
         cfg: ControlFlowGraph,
         label: Optional[int] = None,
+        layout: Sequence[str] = DEFAULT_ATTRIBUTES,
     ) -> "ACFG":
-        """Extract an ACFG from a built CFG using the Table I attributes.
+        """Extract an ACFG from a built CFG, one channel per ``layout`` name.
 
-        The Table I channels come from the graph's arrays
+        Every channel is a column operation over the graph's arrays
         (:func:`~repro.features.attributes.extract_attribute_matrix`);
-        custom registered extractors take ``(BasicBlock,
-        ControlFlowGraph)`` from ``cfg.blocks()``.
+        ``layout`` defaults to the eleven Table I attributes.
 
         The extracted matrix is checked against the ACFG semantic
         invariants (:mod:`repro.features.validator`) before it leaves the
-        front end — a custom registered extractor that emits negative or
-        fractional counts fails here, at the extraction boundary, rather
-        than as an unexplained accuracy regression downstream.
+        front end, so a broken channel fails here, at the extraction
+        boundary, rather than as an unexplained accuracy regression
+        downstream.
         """
         from repro.features.validator import validate_attributes
 
         acfg = cls(
             edges=cfg.edge_index,
-            attributes=extract_attribute_matrix(cfg),
+            attributes=extract_attribute_matrix(cfg, layout),
             label=label,
             name=cfg.name,
         )
-        validate_attributes(acfg.attributes, acfg.out_degrees(), name=acfg.name)
+        validate_attributes(
+            acfg.attributes, acfg.out_degrees(), name=acfg.name, names=layout
+        )
         return acfg

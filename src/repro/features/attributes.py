@@ -17,27 +17,32 @@ From the vertex structure:
   9. # Offspring, i.e. out-degree
  10. # Instructions in the Vertex
 
-"More attributes can be conveniently added" (Section II-B): register an
-extractor with :func:`register_attribute` and every downstream consumer —
-ACFG construction, datasets, models — picks it up through
-:func:`attribute_names` / :func:`extract_block_attributes`.
+"More attributes can be conveniently added" (Section II-B): a *layout*
+is a tuple of attribute names, Table I's eleven
+(:data:`DEFAULT_ATTRIBUTES`) followed by any of four extras, each at
+most once and in :data:`EXTENDED_ATTRIBUTES` order:
+
+ 11. # In-degree, i.e. predecessors (join points, loop headers)
+ 12. Mnemonic entropy, in bits, of the block's mnemonic distribution
+ 13. # Unique mnemonics
+ 14. # Operands
+
+The layout travels as a value: extraction, worker contexts, the
+extraction journal and model archives all carry it.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.asm.instruction import NUMERIC_CONSTANT_RE
+from repro.asm.instruction import NUMERIC_CONSTANT_RE, split_operands
 from repro.asm.isa import CATEGORY_OF, InstructionCategory
-from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import FeatureExtractionError
-
-#: Extractor signature: (block, graph) -> float.
-AttributeExtractor = Callable[[BasicBlock, ControlFlowGraph], float]
 
 #: Mnemonic -> bincount code.  ``InstructionCategory`` lists the seven
 #: Table I categories in channel order and OTHER last, so a code is its
@@ -48,9 +53,8 @@ _CODE_OF: Dict[str, int] = {
     for mnemonic, category in CATEGORY_OF.items()
 }
 
-#: Ordered registry of attribute channels; order defines channel order.
-#: Built-ins map to ``None`` (:func:`_extract` computes them together).
-_REGISTRY: Dict[str, Optional[AttributeExtractor]] = dict.fromkeys((
+#: The 11 attributes of Table I in channel order: the default layout.
+DEFAULT_ATTRIBUTES: Tuple[str, ...] = (
     "numeric_constants",
     "transfer_instructions",
     "call_instructions",
@@ -62,40 +66,33 @@ _REGISTRY: Dict[str, Optional[AttributeExtractor]] = dict.fromkeys((
     "total_instructions",
     "offspring",
     "vertex_instructions",
-))
+)
 
-#: The 11 attributes of Table I, in registry order.
-DEFAULT_ATTRIBUTES: List[str] = list(_REGISTRY)
-
-
-def attribute_names() -> List[str]:
-    """Names of all registered attributes, in channel order."""
-    return list(_REGISTRY)
-
-
-def num_attributes() -> int:
-    """Number of registered attribute channels (``c`` in the paper)."""
-    return len(_REGISTRY)
+#: Table I followed by every extra: the widest layout.
+EXTENDED_ATTRIBUTES: Tuple[str, ...] = DEFAULT_ATTRIBUTES + (
+    "in_degree",
+    "mnemonic_entropy",
+    "unique_mnemonics",
+    "operand_count",
+)
 
 
-def register_attribute(name: str, extractor: AttributeExtractor) -> None:
-    """Register a custom block attribute.
-
-    The new channel is appended after the existing ones.  Re-registering
-    an existing name is rejected to keep channel order stable.
-    """
-    if name in _REGISTRY:
-        raise FeatureExtractionError(f"attribute {name!r} already registered")
-    _REGISTRY[name] = extractor
+#: The names a layout may append after Table I, in layout order.
+_EXTRAS = EXTENDED_ATTRIBUTES[len(DEFAULT_ATTRIBUTES):]
 
 
-def unregister_attribute(name: str) -> None:
-    """Remove a previously registered custom attribute."""
-    if name in DEFAULT_ATTRIBUTES:
-        raise FeatureExtractionError(f"cannot remove built-in attribute {name!r}")
-    if name not in _REGISTRY:
-        raise FeatureExtractionError(f"attribute {name!r} is not registered")
-    del _REGISTRY[name]
+def check_layout(layout: Sequence[str]) -> Tuple[str, ...]:
+    """``layout`` as a tuple, if it is one; else :class:`FeatureExtractionError`."""
+    layout = tuple(layout)
+    head, tail = layout[:len(DEFAULT_ATTRIBUTES)], layout[len(DEFAULT_ATTRIBUTES):]
+    extras = iter(_EXTRAS)
+    # ``in`` advances the iterator: the extras must come in order, once each.
+    if head != DEFAULT_ATTRIBUTES or not all(name in extras for name in tail):
+        raise FeatureExtractionError(
+            f"attribute layout {list(layout)} is not Table I followed by "
+            f"extras of {list(_EXTRAS)}, each at most once and in that order"
+        )
+    return layout
 
 
 def category_codes(mnemonics: Sequence[str]) -> np.ndarray:
@@ -143,18 +140,54 @@ def table_one(
     ).astype(np.float64)
 
 
-def custom_extractors() -> List[AttributeExtractor]:
-    """The registered extractors after the Table I channels, in order."""
-    return [fn for fn in _REGISTRY.values() if fn is not None]
+def _extra_columns(graph: ControlFlowGraph, extras: Sequence[str]) -> List[np.ndarray]:
+    """One column per name of ``extras``, the part of a layout past Table I.
 
-
-def extract_attribute_matrix(graph: ControlFlowGraph) -> np.ndarray:
-    """The attribute matrix ``X`` of shape ``(n, c)`` in vertex order.
-
-    The Table I channels come from the graph's arrays
-    (:func:`table_one`); custom extractors run once per block of
-    ``graph.blocks()``.
+    In-degree counts edge destinations and the operand count charges
+    each row's :func:`split_operands` to its block.  The mnemonic
+    channels read the unique ``(block, mnemonic)`` pairs in
+    first-occurrence order; ``np.subtract.at`` is unbuffered, so each
+    block's entropy subtracts its ``p * log2(p)`` terms one at a time in
+    that order, as a per-block loop would.
     """
+    n, owner = graph.num_vertices, graph.owner
+    columns: Dict[str, np.ndarray] = {}
+    if "in_degree" in extras:
+        columns["in_degree"] = np.bincount(graph.edge_index[1], minlength=n)
+    if "operand_count" in extras:
+        operands = np.fromiter(
+            map(len, map(split_operands, graph.operands)), np.float64, len(owner)
+        )
+        columns["operand_count"] = np.bincount(owner, operands, minlength=n)
+    if "mnemonic_entropy" in extras or "unique_mnemonics" in extras:
+        ids: Dict[str, int] = {}
+        codes = np.fromiter(
+            (ids.setdefault(m, len(ids)) for m in graph.mnemonics), np.int64, len(owner)
+        )
+        _, first, counts = np.unique(
+            owner * len(ids) + codes, return_index=True, return_counts=True
+        )
+        # Rows are grouped by block, so their first rows group the pairs too.
+        order = np.argsort(first)
+        blocks, counts = owner[first[order]], counts[order]
+        columns["unique_mnemonics"] = np.bincount(blocks, minlength=n)
+        p = counts / np.bincount(owner, minlength=n)[blocks]
+        terms = p * np.fromiter(map(math.log2, p.tolist()), np.float64, len(p))
+        columns["mnemonic_entropy"] = np.zeros(n)
+        np.subtract.at(columns["mnemonic_entropy"], blocks, terms)
+    return [columns[name] for name in extras]
+
+
+def extract_attribute_matrix(
+    graph: ControlFlowGraph, layout: Sequence[str] = DEFAULT_ATTRIBUTES
+) -> np.ndarray:
+    """The attribute matrix ``X`` of shape ``(n, len(layout))`` in vertex order.
+
+    Every channel is a column operation over the graph's arrays: Table I
+    from :func:`table_one`, and each extra the layout names from
+    :func:`_extra_columns`.
+    """
+    extras = check_layout(layout)[len(DEFAULT_ATTRIBUTES):]
     if not graph.num_vertices:
         raise FeatureExtractionError(
             f"cannot extract attributes from empty CFG {graph.name!r}"
@@ -165,18 +198,6 @@ def extract_attribute_matrix(graph: ControlFlowGraph) -> np.ndarray:
         graph.operands,
         graph.out_degrees(),
     )
-    custom = custom_extractors()
-    if not custom:
+    if not extras:
         return table
-    extra = np.array(
-        [[fn(block, graph) for fn in custom] for block in graph.blocks()],
-        dtype=np.float64,
-    )
-    return np.column_stack([table, extra])
-
-
-def extract_block_attributes(
-    block: BasicBlock, graph: ControlFlowGraph
-) -> np.ndarray:
-    """The attribute vector of one block of ``graph``, shape ``(c,)``."""
-    return extract_attribute_matrix(graph)[graph.vertex_index()[block.start_address]]
+    return np.column_stack([table, *_extra_columns(graph, extras)])

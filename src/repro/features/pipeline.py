@@ -51,6 +51,7 @@ from repro.exceptions import (
     OversizeGraphError,
 )
 from repro.features.acfg import ACFG
+from repro.features.attributes import DEFAULT_ATTRIBUTES, check_layout
 from repro.fileio import open_journal
 from repro.workers.pool import ProcessWorkerPool
 from repro.testing.faults import FaultPlan
@@ -135,6 +136,8 @@ class WorkerContext:
 
     max_vertices: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
+    #: The attribute layout every extracted ACFG carries.
+    layout: Tuple[str, ...] = DEFAULT_ATTRIBUTES
 
 
 @dataclass(frozen=True)
@@ -157,13 +160,13 @@ def _worker_text(item: Tuple, ctx: WorkerContext) -> ACFG:
     name, text, label = item
     cfg = build_cfg_from_text(text, name=name)
     _guard_size(name, cfg.num_vertices, ctx)
-    return ACFG.from_cfg(cfg, label=label)
+    return ACFG.from_cfg(cfg, label=label, layout=ctx.layout)
 
 
 def _worker_cfg(item: Tuple, ctx: WorkerContext) -> ACFG:
     name, cfg, label = item
     _guard_size(name, cfg.num_vertices, ctx)
-    return ACFG.from_cfg(cfg, label=label)
+    return ACFG.from_cfg(cfg, label=label, layout=ctx.layout)
 
 
 def _worker_cfg_json(item: Tuple, ctx: WorkerContext) -> Dict:
@@ -372,6 +375,10 @@ class AcfgPipeline:
     fault_plan:
         Deterministic fault injection (testing only); see
         :mod:`repro.testing.faults`.
+    layout:
+        The attribute layout to extract
+        (:mod:`repro.features.attributes`), Table I by default.  A
+        journal resumes only under the layout that wrote it.
     """
 
     def __init__(
@@ -384,6 +391,7 @@ class AcfgPipeline:
         resume: bool = False,
         quarantine_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
+        layout: Sequence[str] = DEFAULT_ATTRIBUTES,
     ) -> None:
         if max_workers < 1:
             raise MagicError(f"max_workers must be >= 1, got {max_workers}")
@@ -404,6 +412,7 @@ class AcfgPipeline:
         self.resume = resume
         self.quarantine_dir = quarantine_dir
         self.fault_plan = fault_plan
+        self.layout = check_layout(layout)
 
     # -- public entry points ------------------------------------------
 
@@ -439,7 +448,8 @@ class AcfgPipeline:
         started = time.perf_counter()
         spec = resolve_worker(worker)
         ctx = WorkerContext(
-            max_vertices=self.max_vertices, fault_plan=self.fault_plan
+            max_vertices=self.max_vertices, fault_plan=self.fault_plan,
+            layout=self.layout,
         )
         fingerprint = {
             "worker": worker,
@@ -448,6 +458,10 @@ class AcfgPipeline:
             "timeout": self.timeout,
             "max_vertices": self.max_vertices,
         }
+        # Table I journals carry no layout key, as they did before there
+        # was any other layout, so they still resume.
+        if self.layout != DEFAULT_ATTRIBUTES:
+            fingerprint["layout"] = list(self.layout)
         journal, records = open_journal(
             self.journal_path, fingerprint, self.resume
         )

@@ -23,9 +23,10 @@ set), and the test suite.  :func:`project_attributes` is idempotent —
 projecting an already-valid matrix returns it unchanged — which the
 attack relies on and ``tests/features/test_validator.py`` pins.
 
-Channels are resolved from the attribute registry by *name*, so custom
-channels appended via :func:`repro.features.attributes.register_attribute`
-are passed through untouched (only finiteness is required of them).
+Channels are resolved by *name* from the attribute layout
+(:mod:`repro.features.attributes`), Table I by default, so the extras a
+wider layout appends are passed through untouched (only finiteness is
+required of them).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import FeatureExtractionError
-from repro.features.attributes import attribute_names
+from repro.features.attributes import DEFAULT_ATTRIBUTES
 
 #: Tolerance for "is an integer" checks on float64 count channels.
 _INTEGER_TOLERANCE = 1e-6
@@ -53,8 +54,8 @@ CATEGORY_CHANNELS = (
 )
 
 #: Channels the non-negative-integer check applies to: every Table I
-#: channel is a count.  Custom registered channels are *not* listed here
-#: and therefore only need to be finite.
+#: channel is a count.  The extras are *not* listed here and therefore
+#: only need to be finite.
 _COUNT_CHANNELS = frozenset({
     "numeric_constants",
     "total_instructions",
@@ -86,21 +87,20 @@ def _channel_index(names: Sequence[str], name: str) -> Optional[int]:
 def semantic_violations(
     attributes: np.ndarray,
     out_degrees: np.ndarray,
-    names: Optional[Sequence[str]] = None,
+    names: Sequence[str] = DEFAULT_ATTRIBUTES,
 ) -> List[SemanticViolation]:
     """All semantic-invariant violations of an attribute matrix.
 
     ``out_degrees`` holds each vertex's number of distinct successors
     (``acfg.out_degrees()``), the structural value of ``offspring``.
-    ``names`` defaults to the live attribute registry; pass it explicitly
-    when validating matrices extracted under a different channel set.
+    ``names`` is the matrix's attribute layout, Table I by default.
     """
-    names = list(names) if names is not None else attribute_names()
+    names = list(names)
     attributes = np.asarray(attributes, dtype=np.float64)
     if attributes.ndim != 2 or attributes.shape[1] != len(names):
         raise FeatureExtractionError(
             f"attribute matrix shape {attributes.shape} does not match "
-            f"{len(names)} registered channels"
+            f"the {len(names)} channels of its layout"
         )
     violations: List[SemanticViolation] = []
 
@@ -183,7 +183,7 @@ def validate_attributes(
     attributes: np.ndarray,
     out_degrees: np.ndarray,
     name: str = "",
-    names: Optional[Sequence[str]] = None,
+    names: Sequence[str] = DEFAULT_ATTRIBUTES,
 ) -> None:
     """Raise :class:`FeatureExtractionError` on any semantic violation."""
     violations = semantic_violations(attributes, out_degrees, names=names)
@@ -199,7 +199,7 @@ def validate_attributes(
 def is_semantically_valid(
     attributes: np.ndarray,
     out_degrees: np.ndarray,
-    names: Optional[Sequence[str]] = None,
+    names: Sequence[str] = DEFAULT_ATTRIBUTES,
 ) -> bool:
     """``True`` when the matrix satisfies every ACFG invariant."""
     return not semantic_violations(attributes, out_degrees, names=names)
@@ -208,7 +208,7 @@ def is_semantically_valid(
 def project_attributes(
     attributes: np.ndarray,
     out_degrees: np.ndarray,
-    names: Optional[Sequence[str]] = None,
+    names: Sequence[str] = DEFAULT_ATTRIBUTES,
     lower: Optional[np.ndarray] = None,
     upper: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -225,8 +225,8 @@ def project_attributes(
     4. copy the result into ``vertex_instructions``.
 
     A second application is a no-op: step 1 fixes integers/negatives only
-    once, steps 2–4 recompute the same derived values.  Custom registered
-    channels (anything not in Table I) are passed through untouched.
+    once, steps 2–4 recompute the same derived values.  Channels outside
+    Table I (the layout's extras) are passed through untouched.
 
     ``lower``/``upper`` are optional full-shape raw-count bound matrices
     (the adversarial attack maps its scaled-space epsilon ball through
@@ -236,12 +236,12 @@ def project_attributes(
     least one integer per element — the attack's box always contains the
     original count.
     """
-    names = list(names) if names is not None else attribute_names()
+    names = list(names)
     projected = np.array(attributes, dtype=np.float64, copy=True)
     if projected.ndim != 2 or projected.shape[1] != len(names):
         raise FeatureExtractionError(
             f"attribute matrix shape {projected.shape} does not match "
-            f"{len(names)} registered channels"
+            f"the {len(names)} channels of its layout"
         )
     if not np.isfinite(projected).all():
         raise FeatureExtractionError(

@@ -392,6 +392,7 @@ class InferenceEngine:
                 WorkerContext(
                     max_vertices=self.max_vertices,
                     fault_plan=self.fault_plan,
+                    layout=self.magic.layout,
                 ),
             )
             self.metrics.observe_stage(

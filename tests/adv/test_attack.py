@@ -101,9 +101,9 @@ class TestFeatureSpaceAttack:
         when the projector raises them to cover the category sum, so
         they only get a slack bound.
         """
-        from repro.features.attributes import attribute_names
+        from repro.features.attributes import DEFAULT_ATTRIBUTES
 
-        names = attribute_names()
+        names = DEFAULT_ATTRIBUTES
         strict = [
             i for i, name in enumerate(names)
             if name not in ("total_instructions", "vertex_instructions")

@@ -9,6 +9,7 @@ from repro.cfg.builder import connect_columns
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import CfgConstructionError, SerializationError
 from repro.features.acfg import ACFG
+from repro.features.attributes import EXTENDED_ATTRIBUTES, extract_attribute_matrix
 
 from tests.conftest import dense_adjacency
 
@@ -65,7 +66,10 @@ class TestGraphStructure:
         assert [s.start_address for s in succ] == [0x20, 0x30]
         assert graph.out_degree(first) == 2
         assert graph.out_degree(last) == 0
-        assert graph.in_degree(last) == 2
+        in_degrees = extract_attribute_matrix(graph, EXTENDED_ATTRIBUTES)[
+            :, EXTENDED_ATTRIBUTES.index("in_degree")
+        ]
+        assert in_degrees.tolist() == [0, 1, 1, 2]
         assert graph.out_degrees().tolist() == [2, 1, 1, 0]
 
     def test_entry_block(self):

@@ -7,12 +7,9 @@ from repro.cfg.builder import build_cfg_from_text
 from repro.exceptions import FeatureExtractionError
 from repro.features.attributes import (
     DEFAULT_ATTRIBUTES,
-    attribute_names,
+    EXTENDED_ATTRIBUTES,
+    check_layout,
     extract_attribute_matrix,
-    extract_block_attributes,
-    num_attributes,
-    register_attribute,
-    unregister_attribute,
 )
 
 from tests.conftest import SAMPLE_ASM
@@ -25,15 +22,18 @@ def sample_cfg():
     return build_cfg_from_text(SAMPLE_ASM)
 
 
+def block_row(graph, start_address):
+    return extract_attribute_matrix(graph)[graph.vertex_index()[start_address]]
+
+
 class TestTableOne:
     def test_eleven_default_attributes(self):
         assert len(DEFAULT_ATTRIBUTES) == 11
-        assert num_attributes() >= 11
+        assert len(set(DEFAULT_ATTRIBUTES)) == 11
 
     def test_entry_block_attributes(self, sample_cfg):
         # Entry block: push ebp / mov ebp, esp / cmp eax, 0x5 / jz loc
-        entry = sample_cfg.entry_block()
-        vector = extract_block_attributes(entry, sample_cfg)
+        vector = block_row(sample_cfg, sample_cfg.entry_block().start_address)
         assert vector[IDX["numeric_constants"]] == 1      # the 0x5
         assert vector[IDX["transfer_instructions"]] == 2  # push + jz
         assert vector[IDX["call_instructions"]] == 0
@@ -47,19 +47,16 @@ class TestTableOne:
         assert vector[IDX["vertex_instructions"]] == 4
 
     def test_exit_block_termination(self, sample_cfg):
-        exit_block = sample_cfg.get_block(0x401015)  # mov / retn
-        vector = extract_block_attributes(exit_block, sample_cfg)
+        vector = block_row(sample_cfg, 0x401015)  # mov / retn
         assert vector[IDX["termination_instructions"]] == 1
         assert vector[IDX["offspring"]] == 0
 
     def test_matrix_shape_and_order(self, sample_cfg):
         matrix = extract_attribute_matrix(sample_cfg)
-        assert matrix.shape == (5, num_attributes())
-        # Row 0 must be the entry block's attributes.
-        np.testing.assert_array_equal(
-            matrix[0],
-            extract_block_attributes(sample_cfg.entry_block(), sample_cfg),
-        )
+        assert matrix.shape == (5, len(DEFAULT_ATTRIBUTES))
+        # Rows follow vertex order, ascending start address.
+        assert sample_cfg.vertex_index()[sample_cfg.entry_block().start_address] == 0
+        assert matrix[0, IDX["total_instructions"]] == 4  # the entry block
 
     def test_matrix_nonnegative(self, sample_cfg):
         assert (extract_attribute_matrix(sample_cfg) >= 0).all()
@@ -71,27 +68,37 @@ class TestTableOne:
             extract_attribute_matrix(ControlFlowGraph.from_blocks([]))
 
 
-class TestExtensibility:
+class TestLayouts:
     """Section II-B: "more attributes can be conveniently added"."""
 
-    def test_register_and_use_custom_attribute(self, sample_cfg):
-        register_attribute("in_block_bytes", lambda b, g: float(b.end_address - b.start_address))
-        try:
-            names = attribute_names()
-            assert names[-1] == "in_block_bytes"
-            matrix = extract_attribute_matrix(sample_cfg)
-            assert matrix.shape[1] == len(names)
-        finally:
-            unregister_attribute("in_block_bytes")
+    def test_extended_layout_appends_channels(self, sample_cfg):
+        matrix = extract_attribute_matrix(sample_cfg, EXTENDED_ATTRIBUTES)
+        assert matrix.shape == (5, len(EXTENDED_ATTRIBUTES))
+        np.testing.assert_array_equal(
+            matrix[:, :len(DEFAULT_ATTRIBUTES)], extract_attribute_matrix(sample_cfg)
+        )
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(FeatureExtractionError):
-            register_attribute("offspring", lambda b, g: 0.0)
+    def test_every_ordered_subset_of_the_extras_is_a_layout(self):
+        extras = EXTENDED_ATTRIBUTES[len(DEFAULT_ATTRIBUTES):]
+        for mask in range(2 ** len(extras)):
+            chosen = tuple(n for i, n in enumerate(extras) if mask >> i & 1)
+            assert check_layout(list(DEFAULT_ATTRIBUTES + chosen)) == (
+                DEFAULT_ATTRIBUTES + chosen
+            )
 
-    def test_cannot_remove_builtin(self):
-        with pytest.raises(FeatureExtractionError):
-            unregister_attribute("offspring")
-
-    def test_cannot_remove_unknown(self):
-        with pytest.raises(FeatureExtractionError):
-            unregister_attribute("does_not_exist")
+    @pytest.mark.parametrize("layout", [
+        DEFAULT_ATTRIBUTES + ("in_degree", "in_degree"),
+        DEFAULT_ATTRIBUTES + ("operand_count", "in_degree"),
+        DEFAULT_ATTRIBUTES + ("offspring",),
+        DEFAULT_ATTRIBUTES + ("block_bytes",),
+        DEFAULT_ATTRIBUTES[1:],
+        DEFAULT_ATTRIBUTES[::-1],
+        ("in_degree",) + DEFAULT_ATTRIBUTES,
+        (),
+    ], ids=["repeated", "reordered", "builtin-again", "unknown",
+            "missing-builtin", "table-one-reordered", "extra-first", "empty"])
+    def test_anything_else_is_rejected(self, sample_cfg, layout):
+        with pytest.raises(FeatureExtractionError, match="layout"):
+            check_layout(layout)
+        with pytest.raises(FeatureExtractionError, match="layout"):
+            extract_attribute_matrix(sample_cfg, layout)

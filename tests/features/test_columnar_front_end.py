@@ -35,10 +35,7 @@ from repro.datasets.synthetic_asm import ObfuscationKnobs
 from repro.exceptions import AsmParseError, CfgConstructionError
 from repro.features import attributes as attributes_module
 from repro.features.acfg import ACFG
-from repro.features.extra_attributes import (
-    disable_extended_attributes,
-    enable_extended_attributes,
-)
+from repro.features.attributes import DEFAULT_ATTRIBUTES, EXTENDED_ATTRIBUTES
 from repro.features.pipeline import (
     FailureKind,
     WorkerContext,
@@ -49,17 +46,24 @@ from repro.features.pipeline import (
 
 from tests.asm.test_realistic_listing import REALISTIC
 from tests.conftest import SAMPLE_ASM
-from tests.reference_front_end import reference_build, reference_parse
+from tests.reference_front_end import reference_build, reference_extras, reference_parse
 
 # -- the reference: one line at a time, one object per instruction ---------
 
 
 def reference_worker(item, ctx):
+    """The reference CFG's Table I ACFG, then the layout's extras block by block."""
     name, text, label = item
     parser, program = reference_parse(text)
     cfg = reference_build(program, parser.resolve_target, name=name)
     _guard_size(name, cfg.num_vertices, ctx)
-    return ACFG.from_cfg(cfg, label=label)
+    acfg = ACFG.from_cfg(cfg, label=label)
+    extras = ctx.layout[len(DEFAULT_ATTRIBUTES):]
+    if not extras:
+        return acfg
+    return acfg.replace(attributes=np.column_stack(
+        [acfg.attributes, reference_extras(cfg, extras)]
+    ))
 
 
 def saved_graph_worker(item, ctx):
@@ -77,9 +81,9 @@ def rows_of(program):
     return [(i.address, i.mnemonic, i.operands, i.size) for i in program]
 
 
-def outcome(worker, text, max_vertices=None):
+def outcome(worker, text, max_vertices=None, layout=DEFAULT_ATTRIBUTES):
     """The worker's outcome with the ACFG reduced to its exact bits."""
-    ctx = WorkerContext(max_vertices=max_vertices)
+    ctx = WorkerContext(max_vertices=max_vertices, layout=layout)
     result = execute_unit(worker, ("sample", text, 3), 0, ctx)
     if result[0] == "fail":
         return result
@@ -265,14 +269,9 @@ class TestTextPathMatchesTheReference:
     @given(listings())
     @example(REALISTIC)
     def test_with_extended_attributes(self, text):
-        # Custom extractors take (BasicBlock, ControlFlowGraph): the text
-        # path builds the reference CFG for them.
-        enable_extended_attributes()
-        try:
-            expected = outcome(reference_worker, text)
-            assert outcome(_worker_text, text) == expected
-        finally:
-            disable_extended_attributes()
+        # The reference computes the extras per block of its own CFG.
+        expected = outcome(reference_worker, text, layout=EXTENDED_ATTRIBUTES)
+        assert outcome(_worker_text, text, layout=EXTENDED_ATTRIBUTES) == expected
 
 
 def graph_json(build):

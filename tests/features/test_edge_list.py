@@ -23,7 +23,7 @@ import scipy.sparse
 from repro.cfg.serialization import acfg_from_text, acfg_to_text
 from repro.core.batched import GraphBatch
 from repro.features.acfg import ACFG
-from repro.features.attributes import attribute_names
+from repro.features.attributes import DEFAULT_ATTRIBUTES
 from repro.features.validator import validate_attributes
 from repro.similarity import fingerprint_acfg
 
@@ -74,7 +74,7 @@ def cfg_shaped_graph(n, seed=0):
     rng = np.random.default_rng(seed)
     sources = np.concatenate([np.arange(n - 1), rng.integers(0, n, n // 3)])
     destinations = np.concatenate([np.arange(1, n), rng.integers(0, n, n // 3)])
-    names = attribute_names()
+    names = DEFAULT_ATTRIBUTES
     attributes = np.zeros((n, len(names)))
     attributes[:, names.index("total_instructions")] = 1.0
     attributes[:, names.index("vertex_instructions")] = 1.0

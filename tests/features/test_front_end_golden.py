@@ -14,7 +14,8 @@ extraction run (``AsmParser.parse``, the text worker).
 
 The eleven per-block extractors that produced them are kept below as the
 reference oracle; a property test checks the one-pass attribute matrix
-against it over generated listings, with and without a custom attribute.
+against it over generated listings, in the Table I and the extended
+layout.
 """
 
 import hashlib
@@ -30,12 +31,7 @@ from repro.cfg.serialization import acfg_to_text, save_cfg
 from repro.datasets.mskcfg import MSKCFG_FAMILIES, generate_mskcfg_sample
 from repro.datasets.synthetic_asm import ObfuscationKnobs
 from repro.features.acfg import ACFG
-from repro.features.attributes import (
-    extract_attribute_matrix,
-    extract_block_attributes,
-    register_attribute,
-    unregister_attribute,
-)
+from repro.features.attributes import EXTENDED_ATTRIBUTES, extract_attribute_matrix
 from repro.features.pipeline import (
     AcfgPipeline,
     FailureKind,
@@ -46,7 +42,7 @@ from repro.similarity import MinHasher, fingerprint_acfg
 
 from tests.asm.test_realistic_listing import REALISTIC
 from tests.conftest import SAMPLE_ASM, dense_adjacency
-from tests.reference_front_end import reference_build, reference_parse
+from tests.reference_front_end import REFERENCE_EXTRAS, reference_build, reference_parse
 
 # -- reference oracle: the original per-block Table I extractors ----------
 
@@ -315,10 +311,6 @@ def _cfg_of(family_index, index, seed):
     return CfgBuilder(resolve_target=parser.resolve_target).build(program)
 
 
-def _block_bytes(block, graph):
-    return float(block.end_address - block.start_address)
-
-
 _SAMPLES = st.tuples(
     st.integers(0, len(MSKCFG_FAMILIES) - 1),
     st.integers(0, 50),
@@ -333,21 +325,12 @@ class TestOnePassMatchesOracle:
         cfg = _cfg_of(*sample)
         expected = reference_matrix(cfg)
         np.testing.assert_array_equal(extract_attribute_matrix(cfg), expected)
-        for row, block in zip(expected, cfg.blocks()):
-            np.testing.assert_array_equal(
-                extract_block_attributes(block, cfg), row
-            )
 
     @settings(max_examples=10, deadline=None)
     @given(_SAMPLES)
-    def test_with_a_custom_attribute(self, sample):
+    def test_with_the_extended_layout(self, sample):
         cfg = _cfg_of(*sample)
-        register_attribute("block_bytes", _block_bytes)
-        try:
-            matrix = extract_attribute_matrix(cfg)
-            block_rows = [extract_block_attributes(b, cfg) for b in cfg.blocks()]
-        finally:
-            unregister_attribute("block_bytes")
-        expected = reference_matrix(cfg, extra=(_block_bytes,))
-        np.testing.assert_array_equal(matrix, expected)
-        np.testing.assert_array_equal(np.stack(block_rows), expected)
+        expected = reference_matrix(cfg, extra=REFERENCE_EXTRAS.values())
+        np.testing.assert_array_equal(
+            extract_attribute_matrix(cfg, EXTENDED_ATTRIBUTES), expected
+        )

@@ -7,7 +7,7 @@ import repro.features.acfg as acfg_module
 from repro.cfg.builder import build_cfg_from_text
 from repro.exceptions import FeatureExtractionError
 from repro.features.acfg import ACFG
-from repro.features.attributes import attribute_names
+from repro.features.attributes import DEFAULT_ATTRIBUTES
 from repro.features.validator import (
     is_semantically_valid,
     project_attributes,
@@ -19,7 +19,7 @@ from tests.conftest import SAMPLE_ASM
 
 
 def names():
-    return attribute_names()
+    return list(DEFAULT_ATTRIBUTES)
 
 
 def index_of(channel):
@@ -176,7 +176,7 @@ class TestExtractionBoundary:
         corrupt[:, index_of("offspring")] += 1.0
 
         monkeypatch.setattr(
-            acfg_module, "extract_attribute_matrix", lambda _: corrupt
+            acfg_module, "extract_attribute_matrix", lambda graph, layout: corrupt
         )
         with pytest.raises(FeatureExtractionError, match="offspring"):
             ACFG.from_cfg(cfg, label=0)

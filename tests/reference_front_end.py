@@ -12,19 +12,27 @@ writes it, and the tests compare the two:
   control-flow class, writing a :class:`Tags` per instruction;
 * :func:`connect_blocks` is Algorithm 2 (``CfgBuilder::connectBlocks``)
   over those tags: blocks made on the fly at every ``start``,
-  fall-through and branch edges, empty placeholder blocks dropped.
+  fall-through and branch edges, empty placeholder blocks dropped;
+* :data:`REFERENCE_EXTRAS` computes the attributes a layout may append
+  after Table I one :class:`BasicBlock` at a time, as the extractors
+  that once registered them did; :func:`reference_extras` stacks them.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.asm.instruction import Instruction, split_operands
 from repro.asm.isa import ControlFlowKind
 from repro.asm.parser import AsmParser
 from repro.asm.program import Program
+from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.exceptions import CfgConstructionError
 
@@ -201,3 +209,54 @@ def reference_build(
         raise CfgConstructionError("cannot build a CFG from an empty program")
     tags = InstructionTagger(resolve_target, follow_calls).tag(program)
     return connect_blocks(program, tags, name=name)
+
+
+# -- the extra attributes, one block at a time ------------------------------
+
+
+def _in_degree(block: BasicBlock, graph: ControlFlowGraph) -> float:
+    """Predecessor count: join points and loop headers score high."""
+    return float(sum(dst == block.start_address for _, dst in graph.edges()))
+
+
+def _mnemonic_entropy(block: BasicBlock, graph: ControlFlowGraph) -> float:
+    """Shannon entropy of the block's mnemonic distribution.
+
+    Junk-code padding repeats a few mnemonics (low entropy); hand-written
+    or compiler-generated code mixes more operations.
+    """
+    if block.is_empty:
+        return 0.0
+    counts = Counter(inst.mnemonic for inst in block.instructions)
+    total = len(block)
+    entropy = 0.0
+    for count in counts.values():
+        p = count / total
+        entropy -= p * math.log2(p)
+    return entropy
+
+
+def _unique_mnemonics(block: BasicBlock, graph: ControlFlowGraph) -> float:
+    return float(len({inst.mnemonic for inst in block.instructions}))
+
+
+def _operand_count(block: BasicBlock, graph: ControlFlowGraph) -> float:
+    return float(sum(len(inst.operands) for inst in block.instructions))
+
+
+#: Extra attribute name -> per-block extractor, in layout order.
+REFERENCE_EXTRAS = {
+    "in_degree": _in_degree,
+    "mnemonic_entropy": _mnemonic_entropy,
+    "unique_mnemonics": _unique_mnemonics,
+    "operand_count": _operand_count,
+}
+
+
+def reference_extras(graph: ControlFlowGraph, names: Sequence[str]) -> np.ndarray:
+    """The ``(n, len(names))`` extra columns, block by block."""
+    return np.array(
+        [[REFERENCE_EXTRAS[name](block, graph) for name in names]
+         for block in graph.blocks()],
+        dtype=np.float64,
+    ).reshape(graph.num_vertices, len(names))

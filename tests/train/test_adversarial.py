@@ -6,7 +6,7 @@ import pytest
 import repro.train.trainer as trainer_module
 from repro.adv.attack import perturb_batch_scaled
 from repro.exceptions import TrainingDivergedError, TrainingError
-from repro.features.attributes import attribute_names
+from repro.features.attributes import DEFAULT_ATTRIBUTES
 from repro.features.scaling import AttributeScaler
 from repro.train.trainer import AdversarialConfig, Trainer, TrainingConfig
 
@@ -103,7 +103,7 @@ class TestPerturbBatchScaled:
             rng=np.random.default_rng(0),
         )
         assert np.isfinite(loss)
-        offspring = attribute_names().index("offspring")
+        offspring = DEFAULT_ATTRIBUTES.index("offspring")
         for clean, adv in zip(acfgs, attacked):
             delta = np.abs(adv.attributes - clean.attributes)
             assert delta.max() <= 0.5 + 1e-9
