@@ -13,10 +13,12 @@ persists them to ``output/BENCH_forward.json``:
    claim below; a fast wrong answer is worthless);
 2. **speedup_f32** — single-graph inference through the compiled
    float32 tape vs the eager float64 path (the serve-path hot loop);
-3. **train_speedup** — whole training runs through ``Trainer`` with
-   ``compiled=True`` vs ``compiled=False`` on a uniform-size corpus
-   (capture on the first epoch, replay on the rest), with identical
-   per-epoch losses as the equivalence check.
+3. **train_speedup** — whole training runs through ``Trainer`` on its
+   tape vs eagerly on a uniform-size corpus (capture on the first epoch,
+   replay on the rest), with identical per-epoch losses as the
+   equivalence check.  The eager reference hands the trainer a tape
+   that has already refused the model, the path ``Trainer`` takes for
+   a model the tape cannot record.
 
 All timings are min-of-repeats (the standard way to strip scheduler
 noise from a single-process measurement), so the asserts hold on the
@@ -34,6 +36,8 @@ from __future__ import annotations
 import argparse
 import os
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from repro.core.batched import GraphBatch
 from repro.core.dgcnn import POOLING_TYPES, ModelConfig, build_model
 from repro.features.acfg import ACFG
 from repro.nn.tape import CompiledModel
+from repro.train import trainer as trainer_module
 from repro.train.trainer import Trainer, TrainingConfig
 
 from benchmarks.bench_common import save_result
@@ -128,6 +133,14 @@ def bench_inference(vertices: int, repeats: int, iterations: int) -> dict:
     }
 
 
+class _RefusedTape(CompiledModel):
+    """A tape that has refused its model, so ``Trainer`` trains eagerly."""
+
+    def __init__(self, model, dtype="float64"):
+        super().__init__(model, dtype)
+        self.refused = "eager reference run"
+
+
 def bench_training(corpus: int, epochs: int, repeats: int) -> dict:
     """Whole training runs, eager vs compiled, identical losses required.
 
@@ -138,7 +151,7 @@ def bench_training(corpus: int, epochs: int, repeats: int) -> dict:
     data = [_random_acfg(rng, 12, label=i % 4, density=0.2)
             for i in range(corpus)]
 
-    def run(compiled: bool):
+    def run():
         best = float("inf")
         for _ in range(repeats):
             model = build_model(ModelConfig(
@@ -147,15 +160,20 @@ def bench_training(corpus: int, epochs: int, repeats: int) -> dict:
                 conv2d_channels=16, hidden_size=64, dropout=0.1, seed=0,
             ))
             trainer = Trainer(TrainingConfig(
-                epochs=epochs, batch_size=10, compiled=compiled, seed=2
+                epochs=epochs, batch_size=10, seed=2
             ))
             started = time.perf_counter()
             history = trainer.train(model, data)
             best = min(best, time.perf_counter() - started)
-        return best, history
+        return best, history, trainer.last_compiled
 
-    eager_seconds, eager_history = run(False)
-    compiled_seconds, compiled_history = run(True)
+    with warnings.catch_warnings():
+        # Each eager run warns once that it falls back from the tape.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with mock.patch.object(trainer_module, "CompiledModel", _RefusedTape):
+            eager_seconds, eager_history, eager_tape = run()
+    assert eager_tape is None, "the eager reference run replayed a tape"
+    compiled_seconds, compiled_history, _ = run()
     return {
         "corpus_size": corpus,
         "epochs": epochs,

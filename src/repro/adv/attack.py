@@ -23,11 +23,12 @@ Two entry points:
   the projected attack, the standard trick for keeping the inner
   maximization differentiable.
 
-Both always run their gradient steps on the eager autograd path —
-compiled tape replay has no input-gradient channel.  The evaluation
-attack's gradient-free probabilities (clean, last iterate, projected
-result) replay the model's cached inference tape through
-``Trainer.predict_proba``.
+Their gradient steps are the one place outside a tape capture where the
+model runs eagerly: tape replay has no input-gradient channel.  Every
+gradient-free forward replays the model's cached inference tape through
+``Trainer.predict_proba`` — the evaluation attack's probabilities
+(clean, last iterate, projected result), and the validation pass of an
+adversarially trained model.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from repro.core.dgcnn import ModelConfig
 from repro.core.magic import Magic
 from repro.exceptions import MagicError
 from repro.features.acfg import ACFG
-from repro.train.trainer import Trainer, TrainingConfig
+from repro.train.trainer import TrainingConfig
 
 
 # ----------------------------------------------------------------------
@@ -178,16 +178,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         train.acfgs,
         validation.acfgs,
         TrainingConfig(epochs=args.epochs, batch_size=10,
-                       learning_rate=3e-3, compiled=args.compiled,
-                       seed=args.seed, adversarial=adversarial),
+                       learning_rate=3e-3, seed=args.seed,
+                       adversarial=adversarial),
     )
-    if args.compiled:
-        report = magic.evaluate(validation.acfgs)
-    else:  # --no-compiled evaluates eagerly too
-        report = Trainer.evaluate(
-            magic.model, magic.scaler.transform(validation.acfgs),
-            family_names=magic.family_names, compiled=False,
-        )
+    report = magic.evaluate(validation.acfgs)
     print(report.format_table())
     print(f"Best epoch {history.best_epoch} "
           f"(validation loss {history.best_validation_loss:.4f})")
@@ -208,7 +202,6 @@ def _serving_engine(args: argparse.Namespace):
 
     kwargs = {
         "max_vertices": args.max_vertices,
-        "compiled": args.compiled,
         "infer_dtype": args.infer_dtype,
         "similar_threshold": args.similar_threshold,
     }
@@ -354,7 +347,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_vertices=args.max_vertices,
             similar_threshold=args.similar_threshold,
             fingerprint_iterations=args.fingerprint_iterations,
-            compiled=args.compiled,
             infer_dtype=args.infer_dtype,
             **fleet_kwargs,
         )
@@ -697,7 +689,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     for path in args.listings:
         try:
             if path.endswith(".json"):
-                acfg = ACFG.from_cfg(load_cfg(path))
+                acfg = magic.acfg_from_cfg(load_cfg(path))
             else:
                 acfg = magic.acfg_from_asm(_read_listing(path), name=path)
         except OSError as exc:
@@ -771,13 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "this registry root")
     p_train.add_argument("--model-name",
                          help="registry model name (default: dataset name)")
-    p_train.add_argument("--compiled", action="store_true", default=True,
-                         help="capture/replay training batches through the "
-                              "tape engine (default; bit-exact with eager)")
-    p_train.add_argument("--no-compiled", dest="compiled",
-                         action="store_false",
-                         help="force the eager per-op path for training, "
-                              "validation and the final report")
     p_train.add_argument("--adversarial", action="store_true",
                          help="adversarial training: mix each batch with "
                               "an inner-PGD attacked copy (forces the "
@@ -899,20 +884,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="WL relabeling rounds for similarity "
                                      "fingerprints (default 3; more rounds "
                                      "= stricter topology matching)")
-        sub_parser.add_argument("--compiled", action="store_true",
-                                default=True,
-                                help="serve forwards through the compiled "
-                                     "tape (default; float64 replay "
-                                     "is bit-exact with eager)")
-        sub_parser.add_argument("--no-compiled", dest="compiled",
-                                action="store_false",
-                                help="force the eager per-op forward path")
         sub_parser.add_argument("--infer-dtype",
                                 choices=("float64", "float32"),
                                 default="float64",
-                                help="compiled inference precision; float32 "
-                                     "trades ~1e-6 relative error for speed "
-                                     "(requires --compiled)")
+                                help="inference tape precision; float32 "
+                                     "trades ~1e-6 relative error for speed")
 
     p_classify = sub.add_parser(
         "classify",

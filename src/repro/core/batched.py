@@ -120,8 +120,8 @@ class GraphBatch:
         it as the layer-0 input when present, so a subsequent
         ``backward()`` accumulates ``dL/dX`` into ``tensor.grad``.  This
         is the eager-path hook the feature-space adversarial attack
-        (:mod:`repro.adv.attack`) is built on; compiled tape replay never
-        sees such batches (attack steps always run eagerly).
+        (:mod:`repro.adv.attack`) is built on; tape replay never sees
+        such batches (attack steps always run eagerly).
 
         Per-graph gradient rows are recovered with :attr:`boundaries`,
         exactly like :meth:`split` slices forward activations.

@@ -140,10 +140,6 @@ class DgcnnBase(Module):
     equivalence tests.
     """
 
-    #: Collate layers (e.g. ``Trainer``) check this to know they may hand
-    #: the model a pre-built ``GraphBatch`` instead of a list of ACFGs.
-    accepts_graph_batch = True
-
     def __init__(self, config: ModelConfig) -> None:
         super().__init__()
         self.config = config
@@ -235,20 +231,6 @@ class DgcnnBase(Module):
     def classify(self, embeddings: Tensor) -> Tensor:
         """Map stacked graph embeddings ``(B, D)`` to log-probabilities."""
         raise NotImplementedError
-
-    def predict_proba(self, batch: ModelInput) -> np.ndarray:
-        """Class probabilities without tracking gradients."""
-        was_training = self.training
-        self.eval()
-        try:
-            log_probs = self.forward(batch)
-        finally:
-            self.train(was_training)
-        return np.exp(log_probs.data)
-
-    def predict(self, batch: ModelInput) -> np.ndarray:
-        """Hard class predictions for a batch of graphs."""
-        return self.predict_proba(batch).argmax(axis=1)
 
 
 class _MlpHead(Module):

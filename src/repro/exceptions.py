@@ -66,11 +66,10 @@ class ConfigurationError(MagicError):
 class CompilationError(MagicError):
     """Raised when a recorded graph cannot be compiled into a tape.
 
-    Callers that opted into compiled execution treat this as a signal to
-    fall back to the eager path (the model still works, just without the
-    replay speedup) — e.g. a custom module built from untagged
-    ``Tensor._make`` calls, or a float32 request against a training-mode
-    graph.
+    Callers treat this as a signal to fall back to the eager path (the
+    model still works, just without the replay speedup) — e.g. a custom
+    module built from untagged ``Tensor._make`` calls, or a float32
+    request against a training-mode graph.
     """
 
 

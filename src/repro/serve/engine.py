@@ -2,8 +2,8 @@
 
 The engine runs the full MAGIC prediction path — parse the listing,
 build the CFG, extract the ACFG, apply the *training-time* attribute
-scaling, and run one batched DGCNN forward over the whole request batch
-(the PR-1 ``GraphBatch`` contract, via ``Magic.predict_proba``).
+scaling, and replay one batched DGCNN forward over the whole request
+batch (one ``GraphBatch`` through the engine's own tape).
 
 Two production concerns shape it:
 
@@ -227,16 +227,13 @@ class InferenceEngine:
     fault_plan:
         Deterministic fault injection for tests; indices refer to
         positions within one ``classify_texts`` batch.
-    compiled:
-        Route GraphBatch-capable models through the engine's own
-        :mod:`repro.nn.tape` tape (one capture, then lean replays for
-        batches of every shape); ``False`` keeps every forward eager.
-        Float64 replay is bit-exact with the eager path; a model the
-        tape cannot record silently falls back to eager.
     infer_dtype:
-        ``"float64"`` (default, bit-exact) or ``"float32"`` (compiled
-        replay only; probabilities are cast back to float64 at the
-        serving boundary).
+        Precision of the engine's own :mod:`repro.nn.tape` tape (one
+        capture, then lean replays for batches of every shape):
+        ``"float64"`` (default, bit-exact with the eager path) or
+        ``"float32"`` (probabilities are cast back to float64 at the
+        serving boundary).  A model the tape cannot record silently
+        falls back to eager.
     collator:
         A shared memoizing :class:`BatchCollator`; a private one is
         created when omitted.  Combined with the content-keyed
@@ -255,7 +252,6 @@ class InferenceEngine:
         fingerprint_iterations: int = DEFAULT_WL_ITERATIONS,
         max_vertices: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        compiled: bool = True,
         infer_dtype: str = "float64",
         collator: Optional[BatchCollator] = None,
     ) -> None:
@@ -274,11 +270,6 @@ class InferenceEngine:
         if infer_dtype not in _INFER_DTYPES:
             raise ServeError(
                 f"infer_dtype must be one of {_INFER_DTYPES}, got {infer_dtype!r}"
-            )
-        if infer_dtype != "float64" and not compiled:
-            raise ServeError(
-                "float32 inference is implemented by the compiled tape only; "
-                "drop --no-compiled or use float64"
             )
         self.magic = magic
         self.model_info = model_info
@@ -301,19 +292,10 @@ class InferenceEngine:
                 iterations=fingerprint_iterations,
                 max_entries=cache_size,
             )
-        # GraphBatch-capable models get the shared collate memo and
-        # (opt-out) the compiled tape; raw-ACFG models keep the eager
-        # Magic.predict_proba path untouched.
-        self._collator: Optional[BatchCollator] = None
-        self._compiled: Optional[CompiledModel] = None
-        if getattr(magic.model, "accepts_graph_batch", False):
-            self._collator = collator if collator is not None else BatchCollator(
-                normalize_propagation=getattr(
-                    magic.model, "normalize_propagation", True
-                )
-            )
-            if compiled:
-                self._compiled = CompiledModel(magic.model, dtype=infer_dtype)
+        self._collator = collator if collator is not None else BatchCollator(
+            normalize_propagation=magic.model.normalize_propagation
+        )
+        self._compiled = CompiledModel(magic.model, dtype=infer_dtype)
         # Content-keyed cache of *scaled* ACFGs: scaling is per-sample
         # deterministic, so repeats present the same objects to the
         # collator and its identity-keyed memo hits.  Kept independent
@@ -508,21 +490,17 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Per-family probabilities for ``(content_key, acfg)`` pairs.
 
-        GraphBatch models run ``Trainer.predict_proba`` — the chunk loop
-        of ``Magic.predict_proba`` — over the shared collator and the
-        engine's own tape (or eagerly, with ``compiled=False``), so the
-        float64 output is bitwise identical to the plain path.  A model
-        the tape refuses stays eager for the engine's lifetime: the tape
-        remembers the refusal.
-        Anything else defers to ``Magic.predict_proba`` unchanged.
+        Runs ``Trainer.predict_proba`` — the chunk loop of
+        ``Magic.predict_proba`` — over the shared collator and the
+        engine's own tape, so the float64 output is bitwise identical to
+        the plain path.  A model the tape refuses stays eager for the
+        engine's lifetime: the tape remembers the refusal.
         """
-        if self._collator is None:
-            return self.magic.predict_proba([acfg for _, acfg in keyed_acfgs])
         return Trainer.predict_proba(
             self.magic.model,
             self._scaled_acfgs(keyed_acfgs),
             collator=self._collator,
-            compiled=self._compiled if self._compiled is not None else False,
+            compiled=self._compiled,
         )
 
     def _scaled_acfgs(
@@ -557,29 +535,24 @@ class InferenceEngine:
         replica's counts to ``/metrics`` exactly once.  Runs once per
         batch, cache hits included, so it reads the counters directly.
         """
-        totals: Dict[str, int] = {}
-        if self._compiled is not None:
-            totals["tape_captures"] = self._compiled.captures
-            totals["tape_replays"] = self._compiled.replays
-        if self._collator is not None:
-            totals["collate_hits"] = self._collator.hits
-            totals["collate_misses"] = self._collator.misses
+        totals = {
+            "tape_captures": self._compiled.captures,
+            "tape_replays": self._compiled.replays,
+            "collate_hits": self._collator.hits,
+            "collate_misses": self._collator.misses,
+        }
         growth = {name: count - self._reported.get(name, 0) for name, count in totals.items()}
         if any(growth.values()):
             self.metrics.observe_counters(growth)
         self._reported = totals
         return self.metrics.drain()
 
-    def compile_stats(self) -> Optional[Dict]:
-        """Tape counters (``None`` when compiled execution is off)."""
-        if self._compiled is None:
-            return None
+    def compile_stats(self) -> Dict:
+        """The engine's tape counters."""
         return self._compiled.stats()
 
-    def collator_stats(self) -> Optional[Dict[str, int]]:
-        """Shared collate-memo counters (``None`` for raw-ACFG models)."""
-        if self._collator is None:
-            return None
+    def collator_stats(self) -> Dict[str, int]:
+        """Shared collate-memo counters."""
         return {
             "hits": self._collator.hits,
             "misses": self._collator.misses,

@@ -147,7 +147,6 @@ def inference_service(
     similar_threshold: Optional[float] = None,
     fingerprint_iterations: Optional[int] = None,
     fault_plan=None,
-    compiled: bool = True,
     infer_dtype: str = "float64",
 ):
     """Entrypoint factory run *inside* each fleet worker process.
@@ -156,7 +155,7 @@ def inference_service(
     nothing callable crosses the pipe; the returned handler answers one
     ``[(name, text), ...]`` batch per message.  Loading goes through the
     registry, so every replica independently verifies the archive's
-    integrity before serving.  The compiled tape lives inside this
+    integrity before serving.  The engine's tape lives inside this
     process, so a respawned worker simply re-captures on its first
     batch.
     """
@@ -171,7 +170,6 @@ def inference_service(
         similar_threshold=similar_threshold,
         max_vertices=max_vertices,
         fault_plan=fault_plan,
-        compiled=compiled,
         infer_dtype=infer_dtype,
         **kwargs,
     )
@@ -291,7 +289,7 @@ class FleetDispatcher:
         = None`` keeps the tier off).  Each replica keeps its own
         fingerprint index; fixed hashing seeds keep their fingerprints
         mutually comparable.
-    compiled, infer_dtype:
+    infer_dtype:
         Forwarded into each worker's :class:`InferenceEngine`; the tape
         is per-process, so respawned replicas re-capture on their first
         batch.
@@ -316,7 +314,6 @@ class FleetDispatcher:
         fingerprint_iterations: Optional[int] = None,
         fault_plan=None,
         metrics: Optional[ServeMetrics] = None,
-        compiled: bool = True,
         infer_dtype: str = "float64",
         *,
         engine: Optional[InferenceEngine] = None,
@@ -337,13 +334,6 @@ class FleetDispatcher:
         if max_batch_size < 1:
             raise FleetError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if infer_dtype != "float64" and not compiled:
-            # Fail fast in the parent: otherwise every replica would die
-            # at engine construction and surface as a startup timeout.
-            raise FleetError(
-                "float32 inference is implemented by the compiled tape only; "
-                "drop --no-compiled or use float64"
             )
         self._engine = engine
         if engine is not None:
@@ -371,7 +361,6 @@ class FleetDispatcher:
         self.similar_threshold = similar_threshold
         self.fingerprint_iterations = fingerprint_iterations
         self.fault_plan = fault_plan
-        self.compiled = compiled
         self.infer_dtype = infer_dtype
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._lock = threading.Lock()
@@ -532,7 +521,6 @@ class FleetDispatcher:
                 "similar_threshold": self.similar_threshold,
                 "fingerprint_iterations": self.fingerprint_iterations,
                 "fault_plan": self.fault_plan,
-                "compiled": self.compiled,
                 "infer_dtype": self.infer_dtype,
             }
         worker = worker_class(

@@ -171,13 +171,13 @@ def run_fold(
     history = trainer.train(model, train_acfgs, val_acfgs)
     # Reuse the training run's collator and tape: the fixed validation
     # chunks it memoized and replayed for the per-epoch validation pass
-    # serve this final evaluation too.  An eager run evaluates eagerly.
+    # serve this final evaluation too.
     report = Trainer.evaluate(
         model,
         val_acfgs,
         family_names=dataset.family_names,
         collator=trainer.last_collator,
-        compiled=trainer.last_compiled if trainer.last_compiled is not None else False,
+        compiled=trainer.last_compiled,
     )
     return FoldResult(fold_index=spec.fold_index, history=history, report=report)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from typing import Dict, List, Literal, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,15 +28,8 @@ from repro.train.batching import BatchCollator, iterate_minibatches
 from repro.train.metrics import ClassificationReport, evaluate_predictions
 
 
-def _collator_for(model: Module) -> Optional[BatchCollator]:
-    """A memoizing collate layer when the model speaks GraphBatch.
-
-    DGCNN variants advertise ``accepts_graph_batch``; anything else (the
-    trainer stays generic over "batch-of-ACFGs" modules) keeps receiving
-    plain ACFG lists.
-    """
-    if not getattr(model, "accepts_graph_batch", False):
-        return None
+def _collator_for(model: Module) -> BatchCollator:
+    """A memoizing collate layer using the model's propagation operator."""
     return BatchCollator(
         normalize_propagation=getattr(model, "normalize_propagation", True)
     )
@@ -101,26 +94,24 @@ class TrainingConfig:
     early, marks the divergence on the :class:`TrainingHistory`, and
     returns the best parameters seen so far.
 
-    ``compiled`` routes GraphBatch-capable models through the
-    :mod:`repro.nn.tape` replay engine: the first batch of each mode is
-    captured (one eager pass) and every later batch, whatever its shape,
-    replays over one reusable arena, the per-epoch validation pass
-    included.  Replay is bit-exact with the eager float64 path, so
-    losses and final parameters are unchanged; a model the tape cannot
-    compile falls back to eager for the rest of the run with a
-    ``RuntimeWarning``.  ``compiled=False`` keeps the whole run eager,
-    validation included.  Predictions after training
-    (:meth:`Trainer.predict_proba` without a ``compiled`` argument)
-    replay the model's own cached float64 tape whatever this setting.
+    Training runs on the :mod:`repro.nn.tape` replay engine: the first
+    batch of each mode is captured (one eager pass) and every later
+    batch, whatever its shape, replays over one reusable arena, the
+    per-epoch validation pass included.  Replay is bit-exact with the
+    eager float64 path, so losses and final parameters are the eager
+    loop's.  A model the tape cannot record falls back to eager for the
+    rest of the run with a ``RuntimeWarning``.
 
     ``adversarial`` switches on adversarial training: every batch is
     perturbed by a short inner PGD attack and the step descends a
     clean/adversarial loss mix (see :class:`AdversarialConfig`).  The
     inner attack needs input gradients, which only the eager autograd
-    path delivers, so adversarial runs ignore ``compiled`` and stay
-    eager.  Inner-attack randomness is seeded per ``(seed, epoch,
-    batch)`` via ``SeedSequence``, so a fixed seed reproduces the run
-    bit for bit.
+    path delivers, so adversarial runs train eagerly.  Inner-attack
+    randomness is seeded per ``(seed, epoch, batch)`` via
+    ``SeedSequence``, so a fixed seed reproduces the run bit for bit.
+
+    Whenever training runs eagerly, validation replays the model's
+    cached inference tape (:func:`~repro.nn.tape.inference_tape`).
     """
 
     epochs: int = 100
@@ -131,7 +122,6 @@ class TrainingConfig:
     lr_decay_patience: int = 2
     grad_clip_norm: Optional[float] = None
     halt_on_divergence: bool = True
-    compiled: bool = True
     seed: int = 0
     adversarial: Optional[AdversarialConfig] = None
 
@@ -179,19 +169,18 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Trains one DGCNN (or any batch-of-ACFGs model) on labelled ACFGs."""
+    """Trains one DGCNN on labelled ACFGs."""
 
     def __init__(self, config: TrainingConfig) -> None:
         self.config = config
         #: The memoizing collate layer of the most recent ``train`` run
-        #: (``None`` before training, or for models that consume raw ACFG
-        #: lists).  Post-training evaluation passes it back into
-        #: :meth:`evaluate` so the fixed validation chunks collate once
-        #: per fold instead of once per consumer.
+        #: (``None`` before training).  Post-training evaluation passes it
+        #: back into :meth:`evaluate` so the fixed validation chunks
+        #: collate once per fold instead of once per consumer.
         self.last_collator: Optional[BatchCollator] = None
         #: The compiled model of the most recent ``train`` run (``None``
-        #: before training, with ``compiled=False``, or for models the
-        #: tape cannot record).  Post-training evaluation passes it back
+        #: before training, for adversarial runs, or for models the tape
+        #: cannot record).  Post-training evaluation passes it back
         #: into :meth:`evaluate` so validation chunks keep replaying.
         self.last_compiled: Optional[CompiledModel] = None
 
@@ -234,16 +223,12 @@ class Trainer:
         # miss, but the fixed validation chunks hit on every epoch.
         collator = _collator_for(model)
         self.last_collator = collator
-        # Tape replay needs the collated GraphBatch form; raw-ACFG
-        # models stay eager.  Training always compiles in float64, so
-        # replayed losses/gradients are bit-exact with the eager loop.
-        # Adversarial training forces eager: the inner attack needs the
-        # batch attributes as a requires_grad leaf, which tape replay
-        # has no channel for.
+        # Training compiles in float64, so replayed losses/gradients are
+        # bit-exact with the eager loop.  Adversarial training stays
+        # eager: the inner attack needs the batch attributes as a
+        # requires_grad leaf, which tape replay has no channel for.
         adversarial = config.adversarial
-        compiled: Optional[CompiledModel] = None
-        if config.compiled and collator is not None and adversarial is None:
-            compiled = CompiledModel(model)
+        compiled = CompiledModel(model) if adversarial is None else None
         self.last_compiled = compiled
 
         for epoch in range(config.epochs):
@@ -284,7 +269,7 @@ class Trainer:
                 optimizer.zero_grad()
                 if compiled is not None:
                     try:
-                        log_prob_data = compiled.forward(collator(batch))  # type: ignore[misc]
+                        log_prob_data = compiled.forward(collator(batch))
                     except CompilationError as exc:
                         warnings.warn(
                             f"compiled execution unavailable ({exc}); "
@@ -302,12 +287,7 @@ class Trainer:
                         -(log_prob_data[rows, labels].sum() * (1.0 / len(labels)))
                     )
                 else:
-                    # "is not None", not truthiness: an empty collator
-                    # has __len__() == 0 and would read as False before
-                    # its first entry is cached.
-                    log_probs = model(
-                        collator(batch) if collator is not None else batch
-                    )
+                    log_probs = model(collator(batch))
                     loss = nll_loss(log_probs, labels)
                     if attacked is not None:
                         assert adversarial is not None
@@ -355,10 +335,8 @@ class Trainer:
             history.learning_rates.append(optimizer.lr)
 
             if validation_acfgs:
-                # An eager run validates eagerly too.
                 validation_loss = self.evaluate_loss(
-                    model, validation_acfgs, collator=collator,
-                    compiled=compiled if compiled is not None else False,
+                    model, validation_acfgs, collator=collator, compiled=compiled
                 )
                 history.validation_losses.append(validation_loss)
                 monitored = validation_loss
@@ -420,39 +398,32 @@ class Trainer:
         acfgs: Sequence[ACFG],
         batch_size: int = 64,
         collator: Optional[BatchCollator] = None,
-        compiled: Union[CompiledModel, None, Literal[False]] = None,
+        compiled: Optional[CompiledModel] = None,
     ) -> np.ndarray:
         """Class probabilities over ``acfgs`` (gradient-free, eval mode).
 
-        Chunks are collated into ``GraphBatch`` objects for models that
-        accept them; pass a shared ``collator`` to reuse merged operators
-        across repeated evaluations (the training loop does this for its
-        per-epoch validation pass).  Such models replay a compiled tape's
-        lean eval-mode program: ``compiled`` when given, else the float64
-        tape cached for the model (:func:`~repro.nn.tape.inference_tape`),
-        so the first call captures and every later one replays.  float64
+        Chunks are collated into ``GraphBatch`` objects; pass a shared
+        ``collator`` to reuse merged operators across repeated
+        evaluations (the training loop does this for its per-epoch
+        validation pass).  Each chunk replays a compiled tape's lean
+        eval-mode program: ``compiled`` when given, else the float64 tape
+        cached for the model (:func:`~repro.nn.tape.inference_tape`), so
+        the first call captures and every later one replays.  float64
         replay keeps the output bit-exact with eager; a float32 tape's
-        log-probabilities are cast to float64 before ``exp``.
-        ``compiled=False`` runs the eager path, as does a model the tape
-        refuses.
+        log-probabilities are cast to float64 before ``exp``.  A model
+        the tape refuses runs eagerly: the tape remembers the refusal,
+        so it is captured once at most.
         """
         model.train(False)
         if collator is None:
             collator = _collator_for(model)
-        tape: Optional[CompiledModel] = None
-        if collator is not None and compiled is not False:
-            tape = compiled if compiled is not None else inference_tape(model)
+        tape = compiled if compiled is not None else inference_tape(model)
         chunks = []
         for start in range(0, len(acfgs), batch_size):
-            chunk = list(acfgs[start : start + batch_size])
-            batch = collator(chunk) if collator is not None else chunk
-            log_probs: Optional[np.ndarray] = None
-            if tape is not None:
-                try:
-                    log_probs = tape.infer(batch)
-                except CompilationError:
-                    tape = None
-            if log_probs is None:
+            batch = collator(list(acfgs[start : start + batch_size]))
+            try:
+                log_probs = tape.infer(batch)
+            except CompilationError:
                 log_probs = model(batch).data
             chunks.append(np.exp(log_probs.astype(np.float64, copy=False)))
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
@@ -463,7 +434,7 @@ class Trainer:
         model: Module,
         acfgs: Sequence[ACFG],
         collator: Optional[BatchCollator] = None,
-        compiled: Union[CompiledModel, None, Literal[False]] = None,
+        compiled: Optional[CompiledModel] = None,
     ) -> float:
         """Mean NLL of the true labels under the model."""
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
@@ -481,13 +452,13 @@ class Trainer:
         acfgs: Sequence[ACFG],
         family_names: Optional[Sequence[str]] = None,
         collator: Optional[BatchCollator] = None,
-        compiled: Union[CompiledModel, None, Literal[False]] = None,
+        compiled: Optional[CompiledModel] = None,
     ) -> ClassificationReport:
         """Full precision/recall/F1/accuracy/log-loss report.
 
-        Pass the trainer's ``last_collator`` (and ``last_compiled``) to
+        Pass the trainer's ``last_collator`` and ``last_compiled`` to
         reuse the validation chunks' memoized ``GraphBatch`` operators
-        and compiled tapes instead of re-collating and re-recording;
+        and the run's tape instead of re-collating and re-recording;
         ``compiled`` follows :meth:`predict_proba`.
         """
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)

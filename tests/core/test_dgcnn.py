@@ -14,6 +14,7 @@ from repro.core.dgcnn import (
 from repro.exceptions import ConfigurationError
 from repro.nn.loss import nll_loss
 from repro.nn.optim import Adam
+from repro.train.trainer import Trainer
 
 from tests.conftest import acfg_from_dense
 
@@ -101,18 +102,13 @@ class TestForwardPass:
         np.testing.assert_allclose(together, np.stack(alone), atol=1e-10)
 
     def test_predict_interfaces(self, rng):
+        # A bare model predicts through the trainer's tape replay.
         model = build_model(make_config("sort_weighted"))
         batch = [random_acfg(rng, 6), random_acfg(rng, 8)]
-        probabilities = model.predict_proba(batch)
+        probabilities = Trainer.predict_proba(model, batch)
         assert probabilities.shape == (2, 4)
-        predictions = model.predict(batch)
-        np.testing.assert_array_equal(predictions, probabilities.argmax(axis=1))
-
-    def test_predict_restores_training_mode(self, rng):
-        model = build_model(make_config("adaptive"))
-        model.train(True)
-        model.predict([random_acfg(rng, 5)])
-        assert model.training
+        np.testing.assert_allclose(probabilities.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(probabilities, np.exp(model.eval()(batch).data))
 
 
 class TestTrainability:

@@ -14,6 +14,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.cfg.builder import build_cfg_from_text
+from repro.cfg.serialization import save_cfg
+from repro.cli import main
 from repro.core import Magic, ModelConfig
 from repro.datasets import generate_mskcfg_listings
 from repro.datasets.mskcfg import MSKCFG_FAMILIES
@@ -160,6 +163,25 @@ class TestArchive:
         drop_layout_key(str(tmp_path))
         with pytest.raises(MagicError, match="layout"):
             Magic.load(str(tmp_path))
+
+    def test_predict_extracts_saved_cfgs_with_the_archive_layout(
+        self, extended_magic, unseen_listings, tmp_path, capsys
+    ):
+        model_dir = str(tmp_path / "model")
+        extended_magic.save(model_dir)
+        paths = []
+        for index, (name, text) in enumerate(unseen_listings):
+            paths.append(str(tmp_path / f"sample{index}.json"))
+            save_cfg(build_cfg_from_text(text, name=name), paths[-1])
+        assert main(["predict", "--model-dir", model_dir, *paths]) == 0
+        printed = [
+            line.split(": ", 1)[1].split(" (", 1)[0]
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert printed == [
+            extended_magic.family_names[label]
+            for label in expected_labels(extended_magic, unseen_listings)
+        ]
 
     def test_the_layout_must_match_the_model_width(self):
         with pytest.raises(ConfigurationError, match="layout"):

@@ -9,6 +9,7 @@ Predictions replay one lean float64 tape cached per model, which dies
 with its model and remembers a model it cannot record.
 """
 
+import contextlib
 import copy
 import gc
 import pickle
@@ -24,6 +25,7 @@ from repro.nn.layers import Module, Parameter
 from repro.nn.loss import nll_loss
 from repro.nn.tape import CompiledModel, inference_tape, program_key
 from repro.nn.tensor import Tensor
+from repro.train import trainer as trainer_module
 from repro.train.batching import collate_graphs
 from repro.train.trainer import Trainer, TrainingConfig
 
@@ -97,6 +99,24 @@ def compiled_gradients(compiled, model, batch, labels):
     }
 
 
+class RefusedTape(CompiledModel):
+    """A tape that has refused its model before the first batch."""
+
+    def __init__(self, model, dtype="float64"):
+        super().__init__(model, dtype)
+        self.refused = "eager reference run"
+
+
+@contextlib.contextmanager
+def eager_training():
+    """``Trainer`` trains eagerly inside: its tape refuses the model."""
+    with pytest.MonkeyPatch.context() as patch, pytest.warns(
+        RuntimeWarning, match="falls back to the eager path"
+    ):
+        patch.setattr(trainer_module, "CompiledModel", RefusedTape)
+        yield
+
+
 class TestFloat64Equivalence:
     """Replay must be indistinguishable from eager — to the bit."""
 
@@ -160,12 +180,11 @@ class TestFloat64Equivalence:
             for _ in range(20)
         ]
         histories, states = [], []
-        for compiled in (False, True):
+        for runs in (eager_training, contextlib.nullcontext):
             model = build_model(small_config("adaptive", dropout=0.2))
-            trainer = Trainer(TrainingConfig(
-                epochs=3, batch_size=10, compiled=compiled, seed=9
-            ))
-            histories.append(trainer.train(model, data))
+            trainer = Trainer(TrainingConfig(epochs=3, batch_size=10, seed=9))
+            with runs():
+                histories.append(trainer.train(model, data))
             states.append(model.state_dict())
         assert histories[0].train_losses == histories[1].train_losses  # repro: allow[float-equality] — bit-exactness is the contract under test
         for name in states[0]:
@@ -322,7 +341,6 @@ class TestSignatureCache:
 class UntapeableModel(Module):
     """A GraphBatch model with a custom op: eager runs it, the tape refuses it."""
 
-    accepts_graph_batch = True
     normalize_propagation = True
 
     def __init__(self):

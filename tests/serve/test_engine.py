@@ -12,6 +12,7 @@ from repro.features.pipeline import FailureKind
 from repro.serve import InferenceEngine, load
 from repro.serve.engine import BoundedLRU
 from repro.testing.faults import FaultPlan
+from repro.train.batching import collate_graphs
 
 from tests.serve.conftest import MODEL_NAME
 
@@ -19,6 +20,13 @@ from tests.serve.conftest import MODEL_NAME
 @pytest.fixture()
 def engine(registry_root):
     return InferenceEngine.from_registry(registry_root, MODEL_NAME)
+
+
+def eager_probabilities(magic, samples):
+    """The eager reference: one ``model(batch)`` over ``samples``."""
+    acfgs = [magic.acfg_from_asm(text, name=name) for name, text in samples]
+    batch = collate_graphs(magic.scaler.transform(acfgs))
+    return np.exp(magic.model.eval()(batch).data)
 
 
 class TestClassification:
@@ -271,24 +279,17 @@ class TestCompiledServing:
     ):
         # cache_size=0 so the second pass exercises a tape replay (and
         # the scaled-ACFG + collator memos) instead of the result cache.
-        compiled = InferenceEngine.from_registry(
+        engine = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, cache_size=0
         )
-        eager = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, cache_size=0, compiled=False
-        )
+        expected = eager_probabilities(engine.magic, listing_samples[:4])
         for _ in range(2):
-            for expected, actual in zip(
-                eager.classify_texts(listing_samples[:4]),
-                compiled.classify_texts(listing_samples[:4]),
-            ):
-                assert actual.family == expected.family
-                np.testing.assert_array_equal(
-                    actual.probabilities, expected.probabilities
-                )
-        stats = compiled.compile_stats()
+            served = engine.classify_texts(listing_samples[:4])
+            for result, row in zip(served, expected):
+                assert result.label == int(row.argmax())
+                np.testing.assert_array_equal(result.probabilities, row)
+        stats = engine.compile_stats()
         assert stats["captures"] >= 1 and stats["replays"] >= 1
-        assert eager.compile_stats() is None
 
     def test_repeat_collations_hit_shared_memo(
         self, registry_root, listing_samples
@@ -309,30 +310,20 @@ class TestCompiledServing:
     def test_float32_dtype_close_to_float64(
         self, registry_root, listing_samples
     ):
-        reference = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, compiled=False
-        )
         fast = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, infer_dtype="float32"
         )
-        for expected, actual in zip(
-            reference.classify_texts(listing_samples[:4]),
-            fast.classify_texts(listing_samples[:4]),
+        expected = eager_probabilities(fast.magic, listing_samples[:4])
+        for row, actual in zip(
+            expected, fast.classify_texts(listing_samples[:4])
         ):
-            # Probabilities leave the boundary as float64 either way.
+            # Probabilities leave the boundary as float64.
             assert actual.probabilities.dtype == np.float64
-            np.testing.assert_allclose(
-                actual.probabilities, expected.probabilities, atol=1e-4
-            )
-            assert actual.family == expected.family
+            np.testing.assert_allclose(actual.probabilities, row, atol=1e-4)
+            assert actual.label == int(row.argmax())
 
     def test_invalid_dtype_combinations_rejected(self, registry_root):
         with pytest.raises(ServeError, match="infer_dtype"):
             InferenceEngine.from_registry(
                 registry_root, MODEL_NAME, infer_dtype="float16"
-            )
-        with pytest.raises(ServeError, match="compiled tape only"):
-            InferenceEngine.from_registry(
-                registry_root, MODEL_NAME,
-                compiled=False, infer_dtype="float32",
             )

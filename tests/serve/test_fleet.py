@@ -161,7 +161,7 @@ class TestSupervision:
         SIGKILL must cost nothing but one re-capture per batch shape)."""
         dispatcher = FleetDispatcher(
             registry_root, MODEL_NAME, num_workers=1,
-            batch_timeout=60.0, cache_size=0,  # compiled=True is the default
+            batch_timeout=60.0, cache_size=0,
         )
         name, text = listing_samples[0]
         with dispatcher:
@@ -190,15 +190,6 @@ class TestSupervision:
             assert result.family == before[0].family
             np.testing.assert_array_equal(
                 result.probabilities, before[0].probabilities
-            )
-
-    def test_float32_without_compiled_fails_fast_in_parent(
-        self, registry_root
-    ):
-        with pytest.raises(FleetError, match="compiled tape only"):
-            FleetDispatcher(
-                registry_root, MODEL_NAME, num_workers=1,
-                compiled=False, infer_dtype="float32",
             )
 
     def test_hung_worker_is_killed_at_the_batch_deadline(

@@ -45,7 +45,7 @@ class TestAdversarialConfig:
 class TestAdversarialTraining:
     def test_trains_and_forces_eager(self, rng):
         acfgs = AttributeScaler().fit_transform(toy_dataset(rng))
-        trainer = Trainer(adversarial_config(compiled=True))
+        trainer = Trainer(adversarial_config())
         history = trainer.train(small_model(), acfgs)
         assert history.num_epochs == 3
         assert all(np.isfinite(loss) for loss in history.train_losses)

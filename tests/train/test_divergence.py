@@ -20,6 +20,12 @@ from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
 
 from tests.conftest import acfg_from_dense
 
+# ScriptedModel's custom op is refused by the tape, so each run trains
+# eagerly after the trainer's one fallback warning.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:compiled execution unavailable:RuntimeWarning"
+)
+
 
 class ScriptedModel(Module):
     """Emits uniform log-probs; poisons one scheduled forward call.
@@ -28,6 +34,10 @@ class ScriptedModel(Module):
     loss check must fire before ``backward``); ``mode="nan-grad"``
     returns finite log-probs whose backward writes a NaN gradient into
     the parameter (the gradient check must fire after ``backward``).
+
+    Call 0 is the tape's refused capture of the first batch; the eager
+    training step of epoch ``e``, batch ``b`` is call ``1 + 2 * e + b``
+    at two batches an epoch.
     """
 
     def __init__(self, mode=None, trip_call=-1):
@@ -40,11 +50,11 @@ class ScriptedModel(Module):
     def forward(self, batch):
         call = self.calls
         self.calls += 1
-        data = np.full((len(batch), 2), np.log(0.5))
+        data = np.full((batch.num_graphs, 2), np.log(0.5))
         grad = np.zeros(1)
         if call == self.trip_call:
             if self.mode == "nan-loss":
-                data = np.full((len(batch), 2), np.nan)
+                data = np.full((batch.num_graphs, 2), np.nan)
             else:
                 grad = np.full(1, np.nan)
         return Tensor._make(data, (self.weight,), lambda g: [grad])
@@ -68,9 +78,9 @@ def config(**overrides):
 
 class TestHaltOnDivergence:
     def test_nan_loss_raises_with_location(self):
-        # 8 samples / batch_size 4 = 2 batches per epoch; forward call 3
+        # 8 samples / batch_size 4 = 2 batches per epoch; forward call 4
         # is epoch 1, batch 1.
-        model = ScriptedModel(mode="nan-loss", trip_call=3)
+        model = ScriptedModel(mode="nan-loss", trip_call=4)
         with pytest.raises(TrainingDivergedError) as excinfo:
             Trainer(config()).train(model, tiny_acfgs())
         assert excinfo.value.epoch == 1
@@ -78,7 +88,7 @@ class TestHaltOnDivergence:
         assert "loss" in str(excinfo.value)
 
     def test_nan_gradient_raises(self):
-        model = ScriptedModel(mode="nan-grad", trip_call=0)
+        model = ScriptedModel(mode="nan-grad", trip_call=1)
         with pytest.raises(TrainingDivergedError) as excinfo:
             Trainer(config()).train(model, tiny_acfgs())
         assert excinfo.value.epoch == 0
@@ -107,7 +117,7 @@ class TestHaltOnDivergence:
 
 class TestSoftStop:
     def test_history_marks_divergence_and_truncates(self):
-        model = ScriptedModel(mode="nan-loss", trip_call=2)
+        model = ScriptedModel(mode="nan-loss", trip_call=3)
         history = Trainer(
             config(halt_on_divergence=False)
         ).train(model, tiny_acfgs())
@@ -118,7 +128,7 @@ class TestSoftStop:
         assert history.num_epochs == 1
 
     def test_partial_epoch_never_recorded(self):
-        model = ScriptedModel(mode="nan-grad", trip_call=0)
+        model = ScriptedModel(mode="nan-grad", trip_call=1)
         history = Trainer(
             config(halt_on_divergence=False)
         ).train(model, tiny_acfgs())
@@ -126,7 +136,7 @@ class TestSoftStop:
         assert history.diverged_epoch == 0
 
     def test_history_round_trips_through_journal_dict(self):
-        model = ScriptedModel(mode="nan-loss", trip_call=2)
+        model = ScriptedModel(mode="nan-loss", trip_call=3)
         history = Trainer(
             config(halt_on_divergence=False)
         ).train(model, tiny_acfgs())
